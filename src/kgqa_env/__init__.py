@@ -2,83 +2,4 @@
 triple store with web fallback, multi-signal reward scoring, group-relative
 advantages, incomplete-KG benchmarking, and SFT trajectory filtering."""
 
-from .evaluate import EvalReport, build_report, hits_at_1, web_calls_per_tool_call, web_search_ratio
-from .filtering import (
-    FilterVerdict,
-    Judge,
-    JudgeError,
-    RemoteJudge,
-    RuleJudge,
-    filter_trajectory,
-    judge_plan,
-    sft_record,
-)
-from .kg import (
-    COVERAGE_CKG,
-    COVERAGE_IKG,
-    SENTINEL,
-    KGError,
-    KnowledgeGraph,
-    RemovalLog,
-    Triple,
-    display,
-    is_sentinel,
-    load_aliases,
-    load_triples,
-    read_removal_log,
-    sample_ikg,
-    write_removal_log,
-    write_triples,
-)
-from .plan import (
-    Ans,
-    Expr,
-    Inter,
-    Negation,
-    Plan,
-    PlanError,
-    Ref,
-    SubQuestion,
-    Union,
-    eval_expr,
-    execution_order,
-    parse_plan,
-)
-from .policies import RemotePolicy, ScriptedOracle
-from .qa import QAError, QAExample, load_qa, write_qa
-from .rewards import (
-    AdvantageGroup,
-    RewardBreakdown,
-    accuracy_reward,
-    answer_f1,
-    graph_reward,
-    group_advantages,
-    overall_reward,
-    score_trajectory,
-    web_reward,
-)
-from .rollout import (
-    FORCE_ANSWER_DIRECTIVE,
-    Policy,
-    RolloutConfig,
-    RolloutError,
-    build_prompt,
-    dispatch_action,
-    force_final_answer,
-    run_rollout,
-)
-from .trajectory import (
-    FormatReport,
-    ParseError,
-    Step,
-    Trajectory,
-    Violation,
-    answer_items,
-    parse_trajectory,
-    render_trajectory,
-    retrieval_mask,
-    validate_format,
-)
-from .web import OfflineWebTool, RemoteWebTool, WebTool, WebToolError
-
 __version__ = "0.1.0"

@@ -4,6 +4,8 @@ Every subcommand accepts ``--config PATH`` pointing at a key=value file whose
 keys mirror the long flag names (e.g. ``max-iters=5``); explicit flags win
 over config values, which win over built-in defaults. Keys a subcommand does
 not know are ignored so one config file can drive a whole pipeline.
+``sample-ikg`` is the only randomized subcommand, and the only one with
+``--seed``.
 """
 
 from __future__ import annotations
@@ -12,8 +14,10 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Callable, Iterator
 
 from . import evaluate, filtering, rewards
+from .jsonio import write_jsonl
 from .kg import (
     KGError,
     load_triples,
@@ -23,83 +27,83 @@ from .kg import (
     write_triples,
 )
 from .policies import RemotePolicy, ScriptedOracle
-from .qa import QAError, load_qa
+from .qa import QAError, QAExample, load_qa
 from .rollout import RolloutConfig, RolloutError, run_rollout
-from .trajectory import read_trajectories, write_masks, write_trajectories
+from .trajectory import Trajectory, read_trajectories, write_masks, write_trajectories
 from .web import OfflineWebTool, RemoteWebTool, WebToolError
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
-    parser.add_argument("--config", default=None, help="key=value file mirroring the flags")
+#: Per subcommand: its parser and the flags a config file may set.
+Commands = dict[str, tuple[argparse.ArgumentParser, list[argparse.Action]]]
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, Commands]:
     parser = argparse.ArgumentParser(prog="kgqa", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    commands: Commands = {}
 
-    p = sub.add_parser("build-kg", help="load, validate and report a triple file")
-    p.add_argument("--triples", required=True)
-    p.add_argument("--aliases", default=None)
-    p.add_argument("--out", default=None, help="write a normalized (deduplicated, sorted) TSV copy")
-    _add_common(p)
+    def command(name: str, run: Callable[[argparse.Namespace], int], summary: str):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--config", default=None, help="key=value file mirroring the flags")
+        p.set_defaults(run=run)
+        commands[name] = (p, [])
+        return lambda *flags, **kw: commands[name][1].append(p.add_argument(*flags, **kw))
 
-    p = sub.add_parser("sample-ikg", help="derive an incomplete graph and removal log")
-    p.add_argument("--triples", required=True)
-    p.add_argument("--aliases", default=None)
-    p.add_argument("--qa", required=True)
-    p.add_argument("--fraction", type=float, required=True)
-    p.add_argument("--out-kg", required=True)
-    p.add_argument("--out-log", required=True)
-    _add_common(p)
+    arg = command("build-kg", cmd_build_kg, "load, validate and report a triple file")
+    arg("--triples", required=True)
+    arg("--aliases", default=None)
+    arg("--out", default=None, help="write a normalized (deduplicated, sorted) TSV copy")
 
-    p = sub.add_parser("rollout", help="run the generate-retrieve loop over a QA set")
-    p.add_argument("--kg", required=True)
-    p.add_argument("--aliases", default=None)
-    p.add_argument("--qa", required=True)
-    p.add_argument("--ikg-log", default=None, help="accepted for pipeline symmetry; rollouts do not read it")
-    p.add_argument("--policy", choices=["scripted", "remote"], default="scripted")
-    p.add_argument("--policy-url", default=None)
-    p.add_argument("--web", choices=["offline", "remote"], default="offline")
-    p.add_argument("--web-corpus", default=None)
-    p.add_argument("--web-url", default=None)
-    p.add_argument("--out", required=True)
-    p.add_argument("--masks", default=None, help="also write retrieval-mask spans here")
-    p.add_argument("--max-iters", type=int, default=10)
-    p.add_argument("--top-k-relations", type=int, default=15)
-    p.add_argument("--top-k-docs", type=int, default=3)
-    p.add_argument("--strict-format", action="store_true")
-    _add_common(p)
+    arg = command("sample-ikg", cmd_sample_ikg, "derive an incomplete graph and removal log")
+    arg("--triples", required=True)
+    arg("--aliases", default=None)
+    arg("--qa", required=True)
+    arg("--fraction", type=float, required=True)
+    arg("--seed", type=int, default=0, help="random seed")
+    arg("--out-kg", required=True)
+    arg("--out-log", required=True)
 
-    p = sub.add_parser("score", help="score trajectories against gold answers")
-    p.add_argument("--traj", required=True)
-    p.add_argument("--qa", required=True)
-    p.add_argument("--ikg-log", required=True)
-    p.add_argument("--out", required=True)
-    _add_common(p)
+    arg = command("rollout", cmd_rollout, "run the generate-retrieve loop over a QA set")
+    arg("--kg", required=True)
+    arg("--aliases", default=None)
+    arg("--qa", required=True)
+    arg("--policy", choices=["scripted", "remote"], default="scripted")
+    arg("--policy-url", default=None)
+    arg("--web", choices=["offline", "remote"], default="offline")
+    arg("--web-corpus", default=None)
+    arg("--web-url", default=None)
+    arg("--out", required=True)
+    arg("--masks", default=None, help="also write retrieval-mask spans here")
+    arg("--max-iters", type=int, default=10)
+    arg("--top-k-relations", type=int, default=15)
+    arg("--top-k-docs", type=int, default=3)
+    arg("--strict-format", action="store_true")
 
-    p = sub.add_parser("advantages", help="group-relative advantages from a score file")
-    p.add_argument("--scores", required=True)
-    p.add_argument("--group-size", type=int, default=rewards.DEFAULT_GROUP_SIZE)
-    p.add_argument("--out", required=True)
-    _add_common(p)
+    arg = command("score", cmd_score, "score trajectories against gold answers")
+    arg("--traj", required=True)
+    arg("--qa", required=True)
+    arg("--ikg-log", required=True)
+    arg("--out", required=True)
 
-    p = sub.add_parser("filter-sft", help="filter trajectories into an SFT training file")
-    p.add_argument("--traj", required=True)
-    p.add_argument("--qa", required=True)
-    p.add_argument("--ikg-log", required=True)
-    p.add_argument("--judge", choices=["rule", "remote"], default="rule")
-    p.add_argument("--judge-url", default=None)
-    p.add_argument("--out", required=True)
-    _add_common(p)
+    arg = command("advantages", cmd_advantages, "group-relative advantages from a score file")
+    arg("--scores", required=True)
+    arg("--group-size", type=int, default=rewards.DEFAULT_GROUP_SIZE)
+    arg("--out", required=True)
 
-    p = sub.add_parser("eval", help="Hits@1 and web-usage report")
-    p.add_argument("--traj", required=True)
-    p.add_argument("--qa", required=True)
-    p.add_argument("--out", required=True)
-    _add_common(p)
+    arg = command("filter-sft", cmd_filter_sft, "filter trajectories into an SFT training file")
+    arg("--traj", required=True)
+    arg("--qa", required=True)
+    arg("--ikg-log", required=True)
+    arg("--judge", choices=["rule", "remote"], default="rule")
+    arg("--judge-url", default=None)
+    arg("--out", required=True)
 
-    return parser
+    arg = command("eval", cmd_eval, "Hits@1 and web-usage report")
+    arg("--traj", required=True)
+    arg("--qa", required=True)
+    arg("--out", required=True)
+
+    return parser, commands
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -115,46 +119,29 @@ def _load_config(path: str) -> dict[str, str]:
     return values
 
 
-def _probe_argv(argv: list[str]) -> tuple[str | None, str | None]:
-    """Extract the subcommand name and --config value without a full parse
-    (argparse would reject missing required flags the config provides)."""
-    command = None
-    config = None
-    for i, tok in enumerate(argv):
-        if command is None and not tok.startswith("-"):
-            command = tok
-        if tok == "--config" and i + 1 < len(argv):
-            config = argv[i + 1]
-        elif tok.startswith("--config="):
-            config = tok.split("=", 1)[1]
-    return command, config
-
-
-def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    """Two-pass parse: pick up --config, turn its values into defaults for
-    the invoked subcommand (clearing `required` on flags it covers), then
-    parse the real argv on top."""
-    command, config = _probe_argv(argv)
-    if not config or command is None:
+def _apply_config(parser: argparse.ArgumentParser, commands: Commands, argv: list[str]) -> argparse.Namespace:
+    """Two-pass parse: pick up --config alone (a full parse would reject
+    missing required flags the config provides), turn its values into
+    defaults for the invoked subcommand (clearing `required` on flags it
+    covers), then parse the real argv on top."""
+    probe = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    probe.add_argument("--config")
+    config = probe.parse_known_args(argv)[0].config
+    command = next((tok for tok in argv if not tok.startswith("-")), None)
+    if not config or command not in commands:
         return parser.parse_args(argv)
     values = _load_config(config)
-    sub_actions = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    subparser = sub_actions.choices.get(command)
-    if subparser is None:
-        return parser.parse_args(argv)
+    subparser, actions = commands[command]
     defaults: dict[str, object] = {}
-    for action in subparser._actions:
-        for opt in action.option_strings:
-            key = opt.lstrip("-")
-            if key in values:
-                raw = values[key]
-                if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-                    defaults[action.dest] = raw.lower() in ("1", "true", "yes", "on")
-                elif action.type is not None:
-                    defaults[action.dest] = action.type(raw)
-                else:
-                    defaults[action.dest] = raw
-                action.required = False
+    for action in actions:
+        key = action.option_strings[0].lstrip("-")
+        if key in values:
+            raw = values[key]
+            if action.nargs == 0:  # store_true: the flag takes no value
+                defaults[action.dest] = raw.lower() in ("1", "true", "yes", "on")
+            else:
+                defaults[action.dest] = action.type(raw) if action.type else raw
+            action.required = False
     subparser.set_defaults(**defaults)
     return parser.parse_args(argv)
 
@@ -177,9 +164,26 @@ def _make_policy(args: argparse.Namespace):
     return RemotePolicy(args.policy_url)
 
 
-def _coverage_map(path: str) -> dict[str, str]:
-    log = read_removal_log(path)
-    return dict(log.coverage)
+def _make_judge(args: argparse.Namespace) -> filtering.Judge:
+    if args.judge == "rule":
+        return filtering.RuleJudge()
+    if not args.judge_url:
+        raise filtering.JudgeError("--judge remote requires --judge-url URL")
+    return filtering.RemoteJudge(args.judge_url)
+
+
+def _labelled(args: argparse.Namespace) -> Iterator[tuple[Trajectory, QAExample, str]]:
+    """Each trajectory of ``--traj`` with its QA record and the coverage
+    label ``--ikg-log`` gives its question."""
+    qa = {ex.id: ex for ex in load_qa(args.qa)}
+    coverage = read_removal_log(args.ikg_log).coverage
+    for traj in read_trajectories(args.traj):
+        ex = qa.get(traj.question_id)
+        if ex is None:
+            raise QAError(f"trajectory {traj.question_id!r} has no QA record")
+        if traj.question_id not in coverage:
+            raise KGError(f"no coverage label for question {traj.question_id!r} in {args.ikg_log}")
+        yield traj, ex, coverage[traj.question_id]
 
 
 def cmd_build_kg(args: argparse.Namespace) -> int:
@@ -222,7 +226,6 @@ def cmd_rollout(args: argparse.Namespace) -> int:
         max_iterations=args.max_iters,
         top_k_relations=args.top_k_relations,
         top_k_docs=args.top_k_docs,
-        seed=args.seed,
         strict_format=args.strict_format,
     )
     trajs = [run_rollout(policy, kg, web, ex, cfg) for ex in qa]
@@ -234,19 +237,11 @@ def cmd_rollout(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    trajs = read_trajectories(args.traj)
-    qa = {ex.id: ex for ex in load_qa(args.qa)}
-    coverage = _coverage_map(args.ikg_log)
-    records = []
-    for traj in trajs:
-        ex = qa.get(traj.question_id)
-        if ex is None:
-            raise QAError(f"trajectory {traj.question_id!r} has no QA record")
-        if traj.question_id not in coverage:
-            raise KGError(f"no coverage label for question {traj.question_id!r} in {args.ikg_log}")
-        breakdown = rewards.score_trajectory(traj, ex.answers, coverage[traj.question_id])
-        records.append(rewards.score_record(traj.question_id, breakdown, coverage[traj.question_id]))
-    rewards.write_scores(records, args.out)
+    records = [
+        rewards.score_record(traj.question_id, rewards.score_trajectory(traj, ex.answers, label), label)
+        for traj, ex, label in _labelled(args)
+    ]
+    write_jsonl(records, args.out)
     print(json.dumps({"scored": len(records)}))
     return 0
 
@@ -254,31 +249,20 @@ def cmd_score(args: argparse.Namespace) -> int:
 def cmd_advantages(args: argparse.Namespace) -> int:
     records = rewards.read_scores(args.scores)
     groups = rewards.group_score_records(records, args.group_size)
-    rewards.write_scores(groups, args.out)
+    write_jsonl(groups, args.out)
     print(json.dumps({"groups": len(groups)}))
     return 0
 
 
 def cmd_filter_sft(args: argparse.Namespace) -> int:
-    trajs = read_trajectories(args.traj)
-    qa = {ex.id: ex for ex in load_qa(args.qa)}
-    coverage = _coverage_map(args.ikg_log)
-    judge = filtering.RuleJudge() if args.judge == "rule" else filtering.RemoteJudge(args.judge_url or "")
-    if args.judge == "remote" and not args.judge_url:
-        raise filtering.JudgeError("--judge remote requires --judge-url URL")
+    judge = _make_judge(args)
     kept, dropped = [], 0
-    for traj in trajs:
-        ex = qa.get(traj.question_id)
-        if ex is None:
-            raise QAError(f"trajectory {traj.question_id!r} has no QA record")
-        if traj.question_id not in coverage:
-            raise KGError(f"no coverage label for question {traj.question_id!r} in {args.ikg_log}")
-        verdict = filtering.filter_trajectory(traj, ex, coverage[traj.question_id], judge)
-        if verdict.keep:
+    for traj, ex, label in _labelled(args):
+        if filtering.filter_trajectory(traj, ex, label, judge).keep:
             kept.append(filtering.sft_record(ex, traj))
         else:
             dropped += 1
-    filtering.write_sft(kept, args.out)
+    write_jsonl(kept, args.out)
     print(json.dumps({"kept": len(kept), "dropped": dropped}))
     return 0
 
@@ -292,22 +276,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-_COMMANDS = {
-    "build-kg": cmd_build_kg,
-    "sample-ikg": cmd_sample_ikg,
-    "rollout": cmd_rollout,
-    "score": cmd_score,
-    "advantages": cmd_advantages,
-    "filter-sft": cmd_filter_sft,
-    "eval": cmd_eval,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     try:
-        args = _apply_config(parser, list(argv) if argv is not None else sys.argv[1:])
-        return _COMMANDS[args.command](args)
+        args = _apply_config(parser, commands, list(argv) if argv is not None else sys.argv[1:])
+        return args.run(args)
     except (KGError, QAError, WebToolError, RolloutError, filtering.JudgeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

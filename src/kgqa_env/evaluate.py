@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -13,13 +12,6 @@ from .text import normalize
 from .trajectory import SEARCH_TAGS, WEB_SEARCH, Trajectory, answer_items
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    hits_at_1: float
-    web_search_ratio: float
-    n_questions: int
 
 
 def hits_at_1(trajs: Sequence[Trajectory], qa: Sequence[QAExample]) -> float:
@@ -64,16 +56,11 @@ def web_calls_per_tool_call(trajs: Sequence[Trajectory]) -> float:
 
 def build_report(trajs: Sequence[Trajectory], qa: Sequence[QAExample]) -> dict:
     """Single-document eval report with both web-usage variants."""
-    report = EvalReport(
-        hits_at_1=hits_at_1(trajs, qa),
-        web_search_ratio=web_search_ratio(trajs),
-        n_questions=len(qa),
-    )
     return {
-        "hits_at_1": report.hits_at_1,
-        "web_search_ratio": report.web_search_ratio,
+        "hits_at_1": hits_at_1(trajs, qa),
+        "web_search_ratio": web_search_ratio(trajs),
         "web_calls_per_tool_call": web_calls_per_tool_call(trajs),
-        "n_questions": report.n_questions,
+        "n_questions": len(qa),
     }
 
 

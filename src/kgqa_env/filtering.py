@@ -9,14 +9,10 @@ not), and a plan quality judgment.
 
 from __future__ import annotations
 
-import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable
 
-import requests
-
+from .jsonio import post_json
 from .kg import COVERAGE_CKG, COVERAGE_IKG, display
 from .plan import Ans, PlanError, expr_dependencies, parse_plan
 from .qa import QAExample
@@ -103,16 +99,8 @@ class RemoteJudge(Judge):
         self.timeout = timeout
 
     def score(self, example: QAExample, plan_text: str) -> int:
-        try:
-            resp = requests.post(
-                self.url,
-                json={"question": example.question, "plan": plan_text},
-                timeout=self.timeout,
-            )
-            resp.raise_for_status()
-            score = resp.json()["score"]
-        except (requests.RequestException, ValueError, KeyError, TypeError) as exc:
-            raise JudgeError(f"judge request to {self.url} failed: {exc}") from exc
+        payload = {"question": example.question, "plan": plan_text}
+        score = post_json(self.url, payload, "score", self.timeout, JudgeError)
         if score not in (0, 1):
             raise JudgeError(f"judge returned malformed score {score!r}, expected 0 or 1")
         return int(score)
@@ -174,9 +162,3 @@ def sft_record(example: QAExample, traj: Trajectory) -> dict:
         "completion": traj.raw,
         "masked_spans": [list(span) for span in retrieval_mask(traj)],
     }
-
-
-def write_sft(records: Iterable[dict], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")

@@ -1,0 +1,60 @@
+"""JSON on disk and over the wire: the JSON-lines file codec shared by every
+reader and writer, and the JSON POST used by every remote client."""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+from typing import Any, Callable, Iterable, Iterator, TypeVar
+
+T = TypeVar("T")
+
+
+def read_jsonl(
+    path: str | Path,
+    error_cls: type[Exception],
+    what: str,
+    convert: Callable[[Any], T] = lambda rec: rec,
+) -> Iterator[T]:
+    """Yield ``convert(record)`` for each non-blank line, in file order.
+
+    Bad JSON, and any ``ValueError``, ``KeyError`` or ``TypeError`` raised
+    by ``convert``, becomes ``error_cls`` naming ``what``, the line and the
+    file; callers raise ``ValueError`` for their own per-record checks.
+    """
+    with Path(path).open(encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                rec = convert(json.loads(line))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise error_cls(f"malformed {what} at line {lineno} of {path}: {exc}") from exc
+            yield rec
+
+
+def write_jsonl(records: Iterable[Any], path: str | Path, ensure_ascii: bool = False) -> None:
+    """Write one compact JSON document per line (UTF-8)."""
+    with Path(path).open("w", encoding="utf-8") as fh:
+        for rec in records:
+            fh.write(json.dumps(rec, ensure_ascii=ensure_ascii) + "\n")
+
+
+def post_json(url: str, payload: Any, field: str, timeout: float, error_cls: type[Exception]) -> Any:
+    """POST ``payload`` as JSON and return ``field`` of the JSON reply.
+
+    Transport failures, non-2xx statuses, non-JSON replies and replies
+    without ``field`` all raise ``error_cls``. The HTTP client is imported
+    here so that offline runs never load it.
+    """
+    import http.client
+    import urllib.request
+
+    request = urllib.request.Request(
+        url, data=json.dumps(payload).encode("utf-8"), headers={"Content-Type": "application/json"}
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as resp:
+            return json.loads(resp.read())[field]
+    except (OSError, http.client.HTTPException, ValueError, KeyError, TypeError) as exc:
+        raise error_cls(f"POST to {url} failed: {exc}") from exc

@@ -7,13 +7,13 @@ across concurrent rollouts; :func:`sample_ikg` always returns a fresh graph.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
+from .jsonio import read_jsonl, write_jsonl
 from .text import levenshtein, normalize, token_jaccard
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -119,31 +119,22 @@ class KnowledgeGraph:
         names = self.aliases.get(entity)
         return names[0] if names else display(entity)
 
-    def relation_search(
-        self,
-        entity: str,
-        hypothesis: str,
-        k: int = 15,
-        scorer: Callable[[str, str], float] | None = None,
-    ) -> list[str]:
-        """Top-``k`` relations attached to ``entity``, ranked by similarity
-        to the hypothesis text.
-
-        The default scorer is word-token Jaccard; ties break on smaller edit
+    def relation_search(self, entity: str, hypothesis: str, k: int = 15) -> list[str]:
+        """Top-``k`` relations attached to ``entity``, ranked by word-token
+        Jaccard similarity to the hypothesis text; ties break on smaller edit
         distance to the hypothesis, then lexicographic relation name, which
-        makes the ranking fully deterministic. Pass ``scorer`` to plug in a
-        different similarity. Unknown entities yield an empty list.
+        makes the ranking fully deterministic. Unknown entities yield an
+        empty list.
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         attached = self.head_index.get(entity)
         if not attached:
             return []
-        score = scorer or token_jaccard
         hyp = hypothesis.lower()
 
         def rank_key(rel: str) -> tuple[float, int, str]:
-            return (-score(hypothesis, rel), levenshtein(hyp, rel.lower()), rel)
+            return (-token_jaccard(hypothesis, rel), levenshtein(hyp, rel.lower()), rel)
 
         return sorted(attached, key=rank_key)[:k]
 
@@ -186,18 +177,12 @@ def load_triples(path: str | Path, alias_path: str | Path | None = None) -> Know
 
 def load_aliases(path: str | Path) -> dict[str, list[str]]:
     """Load a JSON-lines alias file ({"entity": id, "aliases": [text, ...]})."""
-    path = Path(path)
     alias_map: dict[str, list[str]] = {}
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                entity, names = rec["entity"], rec["aliases"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise KGError(f"malformed alias record at line {lineno} of {path}") from exc
-            alias_map.setdefault(entity, []).extend(str(n) for n in names)
+    def record(rec: dict) -> tuple[str, list[str]]:
+        return rec["entity"], [str(n) for n in rec["aliases"]]
+
+    for entity, names in read_jsonl(path, KGError, "alias record", record):
+        alias_map.setdefault(entity, []).extend(names)
     return alias_map
 
 
@@ -206,13 +191,8 @@ class RemovalLog:
     """Per-question record of removed critical triples and the derived
     coverage label (IKG iff anything was removed for that question)."""
 
-    fraction: float | None
-    seed: int | None
     entries: dict[str, list[Triple]]
     coverage: dict[str, str]
-
-    def removed_for(self, question_id: str) -> list[Triple]:
-        return self.entries.get(question_id, [])
 
 
 def sample_ikg(
@@ -251,39 +231,31 @@ def sample_ikg(
             purged_pairs.add((t.tail, t.head))
     survivors = [t for t in kg.triples if (t.head, t.tail) not in purged_pairs]
     derived = KnowledgeGraph.from_triples(survivors, {e: list(a[1:]) for e, a in kg.aliases.items()})
-    return derived, RemovalLog(fraction, seed, entries, coverage)
+    return derived, RemovalLog(entries, coverage)
 
 
 def write_removal_log(log: RemovalLog, path: str | Path) -> None:
     """Write a removal log as JSON-lines {"id", "removed", "coverage"}."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for qid in log.entries:
-            rec = {
-                "id": qid,
-                "removed": [list(t) for t in log.entries[qid]],
-                "coverage": log.coverage[qid],
-            }
-            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+    write_jsonl(
+        ({"id": qid, "removed": [list(t) for t in removed], "coverage": log.coverage[qid]}
+         for qid, removed in log.entries.items()),
+        path,
+    )
 
 
 def read_removal_log(path: str | Path) -> RemovalLog:
-    """Read a JSON-lines removal log; fraction/seed are not stored on disk."""
+    """Read a JSON-lines removal log."""
+    def record(rec: dict) -> tuple[str, list[Triple], str]:
+        if rec["coverage"] not in (COVERAGE_CKG, COVERAGE_IKG):
+            raise ValueError(f"unknown coverage label {rec['coverage']!r}")
+        return rec["id"], [Triple(*t) for t in rec["removed"]], rec["coverage"]
+
     entries: dict[str, list[Triple]] = {}
     coverage: dict[str, str] = {}
-    with Path(path).open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                qid = rec["id"]
-                entries[qid] = [Triple(*t) for t in rec["removed"]]
-                coverage[qid] = rec["coverage"]
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise KGError(f"malformed removal-log record at line {lineno} of {path}") from exc
-            if coverage[qid] not in (COVERAGE_CKG, COVERAGE_IKG):
-                raise KGError(f"unknown coverage label {coverage[qid]!r} at line {lineno} of {path}")
-    return RemovalLog(None, None, entries, coverage)
+    for qid, removed, label in read_jsonl(path, KGError, "removal-log record", record):
+        entries[qid] = removed
+        coverage[qid] = label
+    return RemovalLog(entries, coverage)
 
 
 def write_triples(kg: KnowledgeGraph, path: str | Path) -> None:

@@ -3,8 +3,7 @@ for a remote chat-style generation endpoint."""
 
 from __future__ import annotations
 
-import requests
-
+from .jsonio import post_json
 from .kg import display, is_sentinel
 from .plan import Ans, Plan, eval_expr, execution_order, parse_plan
 from .qa import QAExample
@@ -155,13 +154,5 @@ class RemotePolicy(Policy):
         pass
 
     def next_segment(self, conversation: str) -> str:
-        try:
-            resp = requests.post(
-                self.url,
-                json={"conversation": conversation, "stop_tags": STOP_TAGS},
-                timeout=self.timeout,
-            )
-            resp.raise_for_status()
-            return str(resp.json()["segment"])
-        except (requests.RequestException, ValueError, KeyError, TypeError) as exc:
-            raise RolloutError(f"remote policy request to {self.url} failed: {exc}") from exc
+        payload = {"conversation": conversation, "stop_tags": STOP_TAGS}
+        return str(post_json(self.url, payload, "segment", self.timeout, RolloutError))

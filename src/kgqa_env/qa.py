@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+from .jsonio import read_jsonl, write_jsonl
 from .kg import Triple
 
 
@@ -33,42 +33,36 @@ def load_qa(path: str | Path) -> list[QAExample]:
     """Load a JSON-lines QA file. Each line carries
     {"id", "question", "topic_entities", "answers", "critical_triples"}
     plus an optional "plan"."""
-    path = Path(path)
-    examples: list[QAExample] = []
     seen: set[str] = set()
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                ex = QAExample(
-                    id=str(rec["id"]),
-                    question=str(rec["question"]),
-                    topic_entities=tuple(str(e) for e in rec["topic_entities"]),
-                    answers=tuple(tuple(str(a) for a in aliases) for aliases in rec["answers"]),
-                    critical_triples=tuple(Triple(*(str(x) for x in t)) for t in rec.get("critical_triples", [])),
-                    plan=rec.get("plan"),
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise QAError(f"malformed QA record at line {lineno} of {path}: {exc}") from exc
-            if ex.id in seen:
-                raise QAError(f"duplicate question id {ex.id!r} at line {lineno} of {path}")
-            seen.add(ex.id)
-            examples.append(ex)
-    return examples
+
+    def example(rec: dict) -> QAExample:
+        ex = QAExample(
+            id=str(rec["id"]),
+            question=str(rec["question"]),
+            topic_entities=tuple(str(e) for e in rec["topic_entities"]),
+            answers=tuple(tuple(str(a) for a in aliases) for aliases in rec["answers"]),
+            critical_triples=tuple(Triple(*(str(x) for x in t)) for t in rec.get("critical_triples", [])),
+            plan=rec.get("plan"),
+        )
+        if ex.id in seen:
+            raise ValueError(f"duplicate question id {ex.id!r}")
+        seen.add(ex.id)
+        return ex
+
+    return list(read_jsonl(path, QAError, "QA record", example))
 
 
 def write_qa(examples: Sequence[QAExample], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for ex in examples:
-            rec: dict = {
-                "id": ex.id,
-                "question": ex.question,
-                "topic_entities": list(ex.topic_entities),
-                "answers": [list(a) for a in ex.answers],
-                "critical_triples": [list(t) for t in ex.critical_triples],
-            }
-            if ex.plan is not None:
-                rec["plan"] = ex.plan
-            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+    def record(ex: QAExample) -> dict:
+        rec: dict = {
+            "id": ex.id,
+            "question": ex.question,
+            "topic_entities": list(ex.topic_entities),
+            "answers": [list(a) for a in ex.answers],
+            "critical_triples": [list(t) for t in ex.critical_triples],
+        }
+        if ex.plan is not None:
+            rec["plan"] = ex.plan
+        return rec
+
+    write_jsonl(map(record, examples), path)

@@ -10,12 +10,12 @@ parallel without coordination.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence, Set
+from typing import Sequence, Set
 
+from .jsonio import read_jsonl
 from .kg import COVERAGE_CKG, COVERAGE_IKG
 from .text import contains_normalized, normalize
 from .trajectory import (
@@ -143,19 +143,6 @@ def group_advantages(rewards: Sequence[float]) -> list[float]:
     return [(r - mean) / (std + ADVANTAGE_EPS) for r in rewards]
 
 
-@dataclass(frozen=True)
-class AdvantageGroup:
-    """Rewards and advantages for the rollouts of one question."""
-
-    rewards: tuple[float, ...]
-    advantages: tuple[float, ...]
-    group_size: int = DEFAULT_GROUP_SIZE
-
-    @classmethod
-    def from_rewards(cls, rewards: Sequence[float], group_size: int = DEFAULT_GROUP_SIZE) -> "AdvantageGroup":
-        return cls(tuple(rewards), tuple(group_advantages(rewards)), group_size)
-
-
 # -- score / advantage files -------------------------------------------------
 
 def score_record(question_id: str, breakdown: RewardBreakdown, coverage: str) -> dict:
@@ -171,19 +158,9 @@ def score_record(question_id: str, breakdown: RewardBreakdown, coverage: str) ->
     }
 
 
-def write_scores(records: Iterable[dict], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
-
-
 def read_scores(path: str | Path) -> list[dict]:
-    out = []
-    with Path(path).open(encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                out.append(json.loads(line))
-    return out
+    """Read a JSON-lines score file as written by ``score``."""
+    return list(read_jsonl(path, ValueError, "score record"))
 
 
 def group_score_records(records: Sequence[dict], group_size: int = DEFAULT_GROUP_SIZE) -> list[dict]:

@@ -3,8 +3,10 @@
 The engine repeatedly asks the policy for the next segment (text ending at a
 closing action delimiter), executes search actions against the knowledge
 graph or web tool, injects the matching information block, and terminates on
-an answer block or when the tool-call budget runs out, at which point the
-policy is directed to answer from its own knowledge.
+an answer block, or on a second plan block or when the tool-call budget runs
+out, at which point the policy is directed to answer from its own knowledge.
+A rollout therefore asks the policy for at most ``max_iterations + 3``
+segments (for ``max_iterations >= 1``), whatever it emits.
 
 Distinct rollouts may run concurrently: they share only the immutable graph
 and a web tool that tolerates concurrent queries; policy and conversation
@@ -91,7 +93,6 @@ class RolloutConfig:
     max_iterations: int = 10
     top_k_relations: int = 15
     top_k_docs: int = 3
-    seed: int = 0
     strict_format: bool = False
 
 
@@ -181,24 +182,12 @@ def run_rollout(
     policy.reset(example)
     text = ""
     iterations = 0
-    answered = False
+    answered = planned = False
 
     while True:
         segment = policy.next_segment(prompt + text)
         piece, action = _cut_at_action(segment)
-        if action is None:
-            # End of output without an action: keep parseable trailing text
-            # (e.g. a think block) and fall through to the forced answer.
-            if piece.strip():
-                try:
-                    parse_trajectory(text + piece, strict=cfg.strict_format)
-                    text += piece
-                except ParseError:
-                    if cfg.strict_format:
-                        raise RolloutError(
-                            "policy emitted an unparseable segment",
-                            partial=parse_trajectory(text, example.id),
-                        ) from None
+        if action is None and not piece.strip():
             break
         try:
             parsed = parse_trajectory(text + piece, question_id=example.id, strict=cfg.strict_format)
@@ -210,10 +199,17 @@ def run_rollout(
                 ) from None
             break  # drop the segment, direct an immediate answer
         text += piece
+        if action is None:
+            # End of output without an action: keep the parseable trailing
+            # text (e.g. a think block) and fall through to the forced answer.
+            break
         if action == ANSWER:
             answered = True
             break
         if action == PLAN:
+            if planned:
+                break  # a second plan: stop, the forced answer follows
+            planned = True
             continue
         info = dispatch_action(parsed.steps[-1], kg, web, cfg)
         text += "\n" + _render_block(info)

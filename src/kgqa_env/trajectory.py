@@ -8,12 +8,12 @@ strict mode. All operations here are pure functions over immutable values.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
+from .jsonio import read_jsonl, write_jsonl
 from .text import normalize
 
 THINK = "think"
@@ -228,28 +228,16 @@ def answer_items(traj: Trajectory) -> list[str]:
 
 def read_trajectories(path: str | Path) -> list[Trajectory]:
     """Read a JSON-lines trajectory file ({"id", "text"}) and parse each line."""
-    out: list[Trajectory] = []
-    with Path(path).open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                out.append(parse_trajectory(rec["text"], question_id=str(rec["id"])))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ValueError(f"malformed trajectory record at line {lineno} of {path}") from exc
-    return out
+    return list(read_jsonl(
+        path, ValueError, "trajectory record", lambda rec: parse_trajectory(rec["text"], question_id=str(rec["id"]))
+    ))
 
 
 def write_trajectories(trajs: Iterable[Trajectory], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for t in trajs:
-            fh.write(json.dumps({"id": t.question_id, "text": t.raw}, ensure_ascii=False) + "\n")
+    write_jsonl(({"id": t.question_id, "text": t.raw} for t in trajs), path)
 
 
 def write_masks(trajs: Iterable[Trajectory], path: str | Path) -> None:
     """Write a JSON-lines mask file ({"id", "masked_spans": [[start, end], ...]})."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for t in trajs:
-            spans = [list(span) for span in retrieval_mask(t)]
-            fh.write(json.dumps({"id": t.question_id, "masked_spans": spans}) + "\n")
+    records = ({"id": t.question_id, "masked_spans": [list(span) for span in retrieval_mask(t)]} for t in trajs)
+    write_jsonl(records, path, ensure_ascii=True)

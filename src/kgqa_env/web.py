@@ -8,13 +8,11 @@ key count (more specific first), then corpus order.
 
 from __future__ import annotations
 
-import json
 from abc import ABC, abstractmethod
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
-import requests
-
+from .jsonio import post_json, read_jsonl
 from .text import word_tokens
 
 
@@ -32,22 +30,14 @@ class WebTool(ABC):
 
 
 class OfflineWebTool(WebTool):
-    def __init__(self, records: Sequence[tuple[Sequence[str], str]]):
+    def __init__(self, records: Iterable[tuple[Sequence[str], str]]):
         self._records = [(frozenset(keys), snippet) for keys, snippet in records]
 
     @classmethod
     def from_path(cls, path: str | Path) -> "OfflineWebTool":
-        records: list[tuple[list[str], str]] = []
-        with Path(path).open(encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    rec = json.loads(line)
-                    records.append(([str(key) for key in rec["keys"]], str(rec["snippet"])))
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                    raise WebToolError(f"malformed corpus record at line {lineno} of {path}") from exc
-        return cls(records)
+        return cls(read_jsonl(
+            path, WebToolError, "corpus record", lambda rec: ([str(key) for key in rec["keys"]], str(rec["snippet"]))
+        ))
 
     def search(self, query: str, k: int) -> list[str]:
         terms = set(word_tokens(query))
@@ -68,10 +58,5 @@ class RemoteWebTool(WebTool):
         self.timeout = timeout
 
     def search(self, query: str, k: int) -> list[str]:
-        try:
-            resp = requests.post(self.url, json={"query": query, "k": k}, timeout=self.timeout)
-            resp.raise_for_status()
-            snippets = resp.json()["snippets"]
-        except (requests.RequestException, ValueError, KeyError, TypeError) as exc:
-            raise WebToolError(f"web search request to {self.url} failed: {exc}") from exc
+        snippets = post_json(self.url, {"query": query, "k": k}, "snippets", self.timeout, WebToolError)
         return [str(s) for s in snippets][:k]

@@ -56,14 +56,16 @@ def toy_web():
 class _StubHandler(BaseHTTPRequestHandler):
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
-        body = json.loads(self.rfile.read(length) or b"{}")
+        raw = self.rfile.read(length)
+        self.server.raw.append((self.headers.get("Content-Type"), raw))
+        body = json.loads(raw or b"{}")
         self.server.requests.append((self.path, body))
         route = self.server.routes.get(self.path)
         if route is None:
             status, payload = 404, {"error": "no route"}
         else:
             status, payload = route(body)
-        data = json.dumps(payload).encode()
+        data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
@@ -81,6 +83,7 @@ class StubServer:
         self._server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
         self._server.routes = {}
         self._server.requests = []
+        self._server.raw = []
         self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
         self._thread.start()
 
@@ -88,8 +91,13 @@ class StubServer:
     def requests(self):
         return self._server.requests
 
+    @property
+    def raw(self):
+        """(Content-Type, body bytes) of every request, in arrival order."""
+        return self._server.raw
+
     def route(self, path, handler):
-        """handler(body) -> (status, payload)"""
+        """handler(body) -> (status, payload); a bytes payload is sent as is."""
         self._server.routes[path] = handler
 
     def url(self, path=""):

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from kgqa_env.cli import main
+from kgqa_env.cli import _apply_config, build_parser, main
 from kgqa_env.data import TOY_ALIASES, TOY_KG, TOY_QA, TOY_WEB_CORPUS
 
 
@@ -123,6 +123,21 @@ class TestConfigFile:
         assert json.loads(stdout)["fraction"] == 0.2
         assert json.loads(stdout)["seed"] == 7
 
+    def test_store_true_and_typed_keys(self, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("strict-format=true\nmax-iters=3\nseed=4\n")
+        parser, commands = build_parser()
+        base = ["rollout", "--kg", "k", "--qa", "q", "--out", "o", "--config", str(config)]
+        args = _apply_config(parser, commands, base)
+        assert args.strict_format is True
+        assert args.max_iters == 3
+        assert not hasattr(args, "seed")
+        assert _apply_config(parser, commands, base + ["--max-iters", "5"]).max_iters == 5
+
+        config.write_text("strict-format=no\n")
+        parser, commands = build_parser()
+        assert _apply_config(parser, commands, base).strict_format is False
+
     def test_malformed_config_line(self, capsys, tmp_path):
         config = tmp_path / "bad.conf"
         config.write_text("this is not a pair\n")
@@ -137,6 +152,14 @@ class TestRolloutFlags:
                             "--out", str(tmp_path / "t.jsonl"))
         assert rc == 1
         assert "web-corpus" in stderr
+
+
+class TestFilterFlags:
+    def test_remote_judge_requires_url(self, capsys, tmp_path):
+        rc, _, stderr = run(capsys, "filter-sft", "--traj", "t", "--qa", "q", "--ikg-log", "l",
+                            "--judge", "remote", "--out", str(tmp_path / "sft.jsonl"))
+        assert rc == 1
+        assert "judge-url" in stderr
 
 
 def test_module_entry_point():

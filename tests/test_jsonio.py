@@ -1,0 +1,94 @@
+import json
+import socket
+import subprocess
+import sys
+
+import pytest
+
+from kgqa_env.filtering import JudgeError, RemoteJudge
+from kgqa_env.jsonio import post_json, read_jsonl, write_jsonl
+from kgqa_env.policies import RemotePolicy
+from kgqa_env.rewards import read_scores
+from kgqa_env.rollout import STOP_TAGS, RolloutError
+from kgqa_env.trajectory import read_trajectories
+from kgqa_env.web import RemoteWebTool, WebToolError
+
+GOOD_TRAJ = json.dumps({"id": "q1", "text": "<plan>S1: x</plan><answer>a</answer>"})
+
+
+class TestJsonLines:
+    def test_round_trip_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "recs.jsonl"
+        write_jsonl([{"id": "é"}, [1, 2]], path)
+        assert path.read_text(encoding="utf-8") == '{"id": "é"}\n[1, 2]\n'
+        path.write_text(path.read_text(encoding="utf-8") + "\n  \n", encoding="utf-8")
+        assert list(read_jsonl(path, ValueError, "record")) == [{"id": "é"}, [1, 2]]
+
+    def test_ascii_escapes_on_request(self, tmp_path):
+        path = tmp_path / "recs.jsonl"
+        write_jsonl([{"id": "é"}], path, ensure_ascii=True)
+        assert path.read_text() == '{"id": "\\u00e9"}\n'
+
+    def test_scores_file_bad_json_names_file_and_line(self, tmp_path):
+        path = tmp_path / "scores.jsonl"
+        path.write_text('{"id": "q1", "R_over": 1.0}\n{"id": "q2", \n')
+        with pytest.raises(ValueError, match=f"line 2 of {path}"):
+            read_scores(path)
+
+    def test_trajectory_file_bad_json_names_file_and_line(self, tmp_path):
+        path = tmp_path / "traj.jsonl"
+        path.write_text(GOOD_TRAJ + "\nnot json\n")
+        with pytest.raises(ValueError, match=f"line 2 of {path}"):
+            read_trajectories(path)
+
+    def test_trajectory_text_that_fails_to_parse_names_file_and_line(self, tmp_path):
+        path = tmp_path / "traj.jsonl"
+        path.write_text("\n" + GOOD_TRAJ + "\n" + json.dumps({"id": "q2", "text": "<plan>unclosed"}) + "\n")
+        with pytest.raises(ValueError, match=f"line 3 of {path}.*unclosed"):
+            read_trajectories(path)
+
+
+def _clients(url):
+    """(call, error class) for each remote client, pointed at ``url``."""
+    from kgqa_env.qa import QAExample
+
+    ex = QAExample(id="q", question="?", topic_entities=(), answers=())
+    return [
+        (lambda: RemotePolicy(url, timeout=5).next_segment("conv"), RolloutError),
+        (lambda: RemoteWebTool(url, timeout=5).search("q", 1), WebToolError),
+        (lambda: RemoteJudge(url, timeout=5).score(ex, "p"), JudgeError),
+    ]
+
+
+class TestPostJson:
+    def test_body_bytes_and_content_type(self, stub_server):
+        stub_server.route("/p", lambda body: (200, {"segment": "s"}))
+        payload = {"conversation": "Ünïcode <plan>", "stop_tags": STOP_TAGS}
+        assert post_json(stub_server.url("/p"), payload, "segment", 5, RolloutError) == "s"
+        assert stub_server.raw == [("application/json", json.dumps(payload).encode("utf-8"))]
+
+    @pytest.mark.parametrize("status, payload", [
+        (500, {"segment": "s", "snippets": [], "score": 1}),
+        (200, b"<html>not json</html>"),
+        (200, {"unrelated": 1}),
+        (200, ["a", "list"]),
+    ], ids=["http-500", "non-json-body", "missing-key", "not-an-object"])
+    def test_failures_map_to_the_client_error(self, stub_server, status, payload):
+        stub_server.route("/r", lambda body: (status, payload))
+        for call, error_cls in _clients(stub_server.url("/r")):
+            with pytest.raises(error_cls, match="failed"):
+                call()
+
+    def test_closed_port_maps_to_the_client_error(self):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        for call, error_cls in _clients(f"http://127.0.0.1:{port}/r"):
+            with pytest.raises(error_cls, match="failed"):
+                call()
+
+
+def test_cli_import_leaves_the_http_client_unloaded():
+    code = "import sys, kgqa_env.cli; print(sorted(m for m in ('requests', 'urllib.request') if m in sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"

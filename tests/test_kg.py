@@ -10,6 +10,7 @@ from kgqa_env.kg import (
     _build_indices,
     display,
     is_sentinel,
+    load_aliases,
     load_triples,
     read_removal_log,
     sample_ikg,
@@ -49,6 +50,18 @@ class TestLoad:
         p.write_text("")
         with pytest.raises(KGError, match="empty"):
             load_triples(p)
+
+    def test_malformed_alias_record_names_file_and_line(self, tmp_path):
+        aliases = tmp_path / "aliases.jsonl"
+        aliases.write_text('{"entity": "a", "aliases": ["A"]}\n{"entity": "b", "aliases": 5}\n')
+        with pytest.raises(KGError, match=f"line 2 of {aliases}"):
+            load_aliases(aliases)
+
+    def test_unknown_coverage_label_names_file_and_line(self, tmp_path):
+        log = tmp_path / "log.jsonl"
+        log.write_text('{"id": "q", "removed": [], "coverage": "PARTIAL"}\n')
+        with pytest.raises(KGError, match=f"line 1 of {log}: unknown coverage label 'PARTIAL'"):
+            read_removal_log(log)
 
     def test_alias_map_defaults_to_display_form(self, tk1):
         assert tk1.aliases["Iranian_rial"][0] == "Iranian rial"

@@ -5,7 +5,6 @@ import statistics
 import pytest
 
 from kgqa_env.rewards import (
-    AdvantageGroup,
     accuracy_reward,
     answer_f1,
     graph_reward,
@@ -199,6 +198,7 @@ class TestAdvantages:
         for got, want in zip(adv, expected):
             assert got == pytest.approx(want, abs=1e-6)
         assert abs(sum(adv)) <= 1e-9
+        assert group_advantages([1.0, 0.0]) == pytest.approx([1.0, -1.0], abs=1e-6)
 
     def test_matches_statistics_oracle(self):
         rng = random.Random(19)
@@ -212,7 +212,6 @@ class TestAdvantages:
 
     def test_zero_variance_gives_exact_zeros(self):
         assert group_advantages([0.5, 0.5, 0.5]) == [0.0, 0.0, 0.0]
-
     def test_empty_group_is_an_error(self):
         with pytest.raises(ValueError):
             group_advantages([])
@@ -228,12 +227,6 @@ class TestAdvantages:
                 assert abs(sum(base)) <= 1e-9
             for a, b in zip(base, shifted):
                 assert a == pytest.approx(b, abs=1e-9)
-
-    def test_advantage_group_defaults(self):
-        group = AdvantageGroup.from_rewards([1.0, 0.0])
-        assert group.group_size == 8
-        assert group.advantages[0] == pytest.approx(1.0, abs=1e-6)
-        assert group.advantages[1] == pytest.approx(-1.0, abs=1e-6)
 
 
 class TestGrouping:

@@ -222,6 +222,28 @@ class TestEngineEdges:
         assert [s.tag for s in traj.steps] == ["plan", "answer"]
         assert answer_items(traj) == ["iran"]
 
+    def test_repeated_plans_end_in_a_forced_answer(self, tk1, tk1_example, tk1_web):
+        calls = []
+
+        class PlanForever(Policy):
+            def reset(self, example):
+                pass
+
+            def next_segment(self, conversation):
+                calls.append(conversation)
+                assert len(calls) < 100, "the rollout did not stop"
+                if conversation.rstrip().endswith(FORCE_ANSWER_DIRECTIVE):
+                    return "<answer>Iran</answer>"
+                return "<plan>S1: Ans(country | currency_of(Iranian rial, ?))</plan>"
+
+        cfg = RolloutConfig(max_iterations=3)
+        traj = run_rollout(PlanForever(), tk1, tk1_web, tk1_example, cfg)
+        assert len(calls) <= cfg.max_iterations + 3
+        assert calls[-1].rstrip().endswith(FORCE_ANSWER_DIRECTIVE)
+        assert [s.tag for s in traj.steps] == ["plan", "plan", "answer"]
+        assert answer_items(traj) == ["iran"]
+        assert "PLAN_COUNT" in {v.code for v in validate_format(traj).violations}
+
     def test_segment_truncated_at_first_action_close(self, tk1, tk1_example, tk1_web):
         policy = ScriptedSegments([
             "<plan>S1: Ans(country | currency_of(Iranian rial, ?))</plan><answer>extra</answer>",

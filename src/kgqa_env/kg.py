@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .jsonio import read_jsonl, write_jsonl
-from .text import levenshtein, normalize, token_jaccard
+from .text import levenshtein, normalize, token_jaccard, word_tokens
 
 if TYPE_CHECKING:  # pragma: no cover
     from .qa import QAExample
@@ -80,6 +80,7 @@ class KnowledgeGraph:
     relations: frozenset[str]
     aliases: dict[str, tuple[str, ...]]
     _resolve: dict[str, str]
+    _relation_tokens: dict[str, frozenset[str]]
 
     @classmethod
     def from_triples(
@@ -104,7 +105,8 @@ class KnowledgeGraph:
             for key in (normalize(e), *(normalize(a) for a in aliases[e])):
                 if key:
                     resolve.setdefault(key, e)
-        return cls(tset, head_index, pair_index, relations, aliases, resolve)
+        relation_tokens = {r: frozenset(word_tokens(r)) for r in relations}
+        return cls(tset, head_index, pair_index, relations, aliases, resolve, relation_tokens)
 
     def __len__(self) -> int:
         return len(self.triples)
@@ -125,18 +127,24 @@ class KnowledgeGraph:
         distance to the hypothesis, then lexicographic relation name, which
         makes the ranking fully deterministic. Unknown entities yield an
         empty list.
+
+        The edit distance is computed only for relations whose Jaccard is at
+        least the ``k``-th best. The cut is exact: every relation below it
+        has ``k`` relations with a strictly higher Jaccard ahead of it.
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         attached = self.head_index.get(entity)
         if not attached:
             return []
+        hyp_tokens = set(word_tokens(hypothesis))
+        by_jaccard = sorted((-token_jaccard(hyp_tokens, self._relation_tokens[rel]), rel) for rel in attached)
+        if len(by_jaccard) > k:
+            cut = by_jaccard[k - 1][0]
+            by_jaccard = [pair for pair in by_jaccard if pair[0] <= cut]
         hyp = hypothesis.lower()
-
-        def rank_key(rel: str) -> tuple[float, int, str]:
-            return (-token_jaccard(hypothesis, rel), levenshtein(hyp, rel.lower()), rel)
-
-        return sorted(attached, key=rank_key)[:k]
+        ranked = sorted(by_jaccard, key=lambda pair: (pair[0], levenshtein(hyp, pair[1].lower()), pair[1]))
+        return [rel for _, rel in ranked[:k]]
 
     def neighbor_search(self, entity: str, relation: str) -> set[str] | str:
         """Tail entities of ``(entity, relation)`` rendered as alias texts,

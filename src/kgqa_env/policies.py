@@ -155,4 +155,7 @@ class RemotePolicy(Policy):
 
     def next_segment(self, conversation: str) -> str:
         payload = {"conversation": conversation, "stop_tags": STOP_TAGS}
-        return str(post_json(self.url, payload, "segment", self.timeout, RolloutError))
+        segment = post_json(self.url, payload, "segment", self.timeout, RolloutError)
+        if not isinstance(segment, str):
+            raise RolloutError(f"POST to {self.url} failed: 'segment' is not a string: {segment!r}")
+        return segment

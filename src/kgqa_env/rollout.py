@@ -33,7 +33,7 @@ from .trajectory import (
     Trajectory,
     parse_trajectory,
 )
-from .web import WebTool
+from .web import WebTool, WebToolError
 
 #: Appended verbatim to the conversation when the iteration limit is reached.
 FORCE_ANSWER_DIRECTIVE = (
@@ -117,9 +117,10 @@ def _cut_at_action(segment: str) -> tuple[str, str | None]:
 
 
 def dispatch_action(step: Step, kg: KnowledgeGraph, web: WebTool, cfg: RolloutConfig) -> Step:
-    """Execute one search step and return its information block. Never
-    raises: malformed calls and web transport failures produce in-band
-    content the policy can react to."""
+    """Execute one search step and return its information block. Malformed
+    calls and :class:`WebToolError` (a web backend's transport or protocol
+    failure) produce in-band content the policy can react to; any other
+    exception from a tool is a programming error and propagates."""
     if step.tag not in SEARCH_TAGS:
         raise ValueError(f"dispatch_action expects a search step, got <{step.tag}>")
     info_tag = INFO_FOR[step.tag]
@@ -138,7 +139,7 @@ def dispatch_action(step: Step, kg: KnowledgeGraph, web: WebTool, cfg: RolloutCo
     query = normalize(f"{head} {relation}")
     try:
         snippets = web.search(query, cfg.top_k_docs)
-    except Exception:
+    except WebToolError:
         return Step(info_tag, WEB_UNAVAILABLE)
     return Step(info_tag, "\n".join(snippets))
 

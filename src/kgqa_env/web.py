@@ -4,6 +4,11 @@ The offline corpus is JSON-lines, one record per snippet:
 ``{"keys": [normalized term, ...], "snippet": text}``. A query matches a
 record when every key appears among the query's word terms; matches rank by
 key count (more specific first), then corpus order.
+
+:class:`OfflineWebTool` files each record with keys under one of them, its
+least key, so a query checks only the records filed under its own terms: a
+match holds all its keys, so it is always among them, and no record is
+checked twice. A record without keys matches no query and is not filed.
 """
 
 from __future__ import annotations
@@ -22,7 +27,8 @@ class WebToolError(Exception):
 
 class WebTool(ABC):
     """Search interface used by the rollout engine. Implementations must be
-    safe for concurrent queries and return at most ``k`` snippets."""
+    safe for concurrent queries, return at most ``k`` snippets and report a
+    backend failure as :class:`WebToolError`."""
 
     @abstractmethod
     def search(self, query: str, k: int) -> list[str]:
@@ -32,6 +38,10 @@ class WebTool(ABC):
 class OfflineWebTool(WebTool):
     def __init__(self, records: Iterable[tuple[Sequence[str], str]]):
         self._records = [(frozenset(keys), snippet) for keys, snippet in records]
+        self._index: dict[str, list[int]] = {}
+        for idx, (keys, _) in enumerate(self._records):
+            if keys:
+                self._index.setdefault(min(keys), []).append(idx)
 
     @classmethod
     def from_path(cls, path: str | Path) -> "OfflineWebTool":
@@ -41,12 +51,13 @@ class OfflineWebTool(WebTool):
 
     def search(self, query: str, k: int) -> list[str]:
         terms = set(word_tokens(query))
-        hits = [
-            (len(keys), idx, snippet)
-            for idx, (keys, snippet) in enumerate(self._records)
-            if keys and keys <= terms
-        ]
-        hits.sort(key=lambda h: (-h[0], h[1]))
+        hits = []
+        for term in terms:
+            for idx in self._index.get(term, ()):
+                keys, snippet = self._records[idx]
+                if keys <= terms:
+                    hits.append((-len(keys), idx, snippet))
+        hits.sort()
         return [snippet for _, _, snippet in hits[:k]]
 
 
@@ -59,4 +70,6 @@ class RemoteWebTool(WebTool):
 
     def search(self, query: str, k: int) -> list[str]:
         snippets = post_json(self.url, {"query": query, "k": k}, "snippets", self.timeout, WebToolError)
+        if not isinstance(snippets, list):
+            raise WebToolError(f"POST to {self.url} failed: 'snippets' is not a list: {snippets!r}")
         return [str(s) for s in snippets][:k]

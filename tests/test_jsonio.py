@@ -79,6 +79,17 @@ class TestPostJson:
             with pytest.raises(error_cls, match="failed"):
                 call()
 
+    @pytest.mark.parametrize("payload", [
+        {"segment": None, "snippets": 5},
+        {"segment": 5, "snippets": "abc"},
+    ], ids=["null-segment-number-snippets", "number-segment-string-snippets"])
+    def test_mistyped_reply_field_maps_to_the_client_error(self, stub_server, payload):
+        stub_server.route("/r", lambda body: (200, payload))
+        policy, web, _ = _clients(stub_server.url("/r"))
+        for call, error_cls in (policy, web):
+            with pytest.raises(error_cls, match="failed: '(segment|snippets)' is not a"):
+                call()
+
     def test_closed_port_maps_to_the_client_error(self):
         with socket.socket() as sock:
             sock.bind(("127.0.0.1", 0))

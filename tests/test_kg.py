@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgqa_env.kg import (
     SENTINEL,
@@ -77,6 +79,9 @@ class TestLoad:
             assert rels == kg.relations
 
 
+_HUB_WORDS = ["place", "of", "birth", "film", "country", "people", "person"]
+
+
 class TestRelationSearch:
     def test_default_k_is_15(self):
         triples = [Triple("e", f"rel_{i}", "t") for i in range(30)]
@@ -111,6 +116,25 @@ class TestRelationSearch:
             got = kg.relation_search("e", hyp, k=k)
             assert got == _rank_oracle(kg, "e", hyp)[:k]
             assert all(r in kg.head_index["e"] for r in got)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        n_rels=st.integers(100, 400),
+        hyp=st.lists(st.sampled_from(_HUB_WORDS + ["Ünïcode"]), max_size=5).map(" ".join),
+    )
+    def test_hub_ranking_matches_brute_force(self, seed, n_rels, hyp):
+        # Names of 1-3 words from a small vocabulary, joined by "_" or ".":
+        # hundreds of relations share a few Jaccard values, so ties straddle
+        # the k-th place, and equal token sets differ in edit distance.
+        rng = random.Random(seed)
+        rels = set()
+        while len(rels) < n_rels:
+            rels.add(rng.choice("_.").join(rng.choices(_HUB_WORDS, k=rng.randint(1, 3))))
+        kg = KnowledgeGraph.from_triples(Triple("hub", r, f"t{i}") for i, r in enumerate(sorted(rels)))
+        expected = _rank_oracle(kg, "hub", hyp)
+        for k in (1, 15, n_rels + 1):
+            assert kg.relation_search("hub", hyp, k=k) == expected[:k]
 
 
 def _edit_distance_oracle(a, b):

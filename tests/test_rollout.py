@@ -23,12 +23,17 @@ from kgqa_env.trajectory import (
     parse_trajectory,
     validate_format,
 )
-from kgqa_env.web import OfflineWebTool, WebTool
+from kgqa_env.web import OfflineWebTool, WebTool, WebToolError
 
 
 class FailingWeb(WebTool):
     def search(self, query, k):
-        raise ConnectionError("down")
+        raise WebToolError("down")
+
+
+class BuggyWeb(WebTool):
+    def search(self, query, k):
+        raise AttributeError("programming error in a backend")
 
 
 class ScriptedSegments(Policy):
@@ -84,6 +89,10 @@ class TestDispatch:
     def test_web_transport_failure_is_in_band(self, tk1):
         info = dispatch_action(Step("web_search", "a | b"), tk1, FailingWeb(), RolloutConfig())
         assert info.content == WEB_UNAVAILABLE
+
+    def test_web_programming_error_propagates(self, tk1):
+        with pytest.raises(AttributeError, match="programming error"):
+            dispatch_action(Step("web_search", "a | b"), tk1, BuggyWeb(), RolloutConfig())
 
     def test_non_search_step_rejected(self, tk1):
         with pytest.raises(ValueError):

@@ -1,6 +1,22 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kgqa_env.text import word_tokens
 from kgqa_env.web import OfflineWebTool, RemoteWebTool, WebToolError
+
+# "two words" and "Caps" are never word terms of a query, so records that
+# carry them never match.
+_KEYS = ["capital", "city", "of", "denmark", "rial", "two words", "Caps"]
+
+
+def _scan_oracle(records, query, k):
+    """Brute-force scan: every record whose distinct keys all occur among
+    the query's word terms, by key count, then corpus order."""
+    terms = set(word_tokens(query))
+    hits = [(-len(set(keys)), idx, snippet)
+            for idx, (keys, snippet) in enumerate(records) if keys and set(keys) <= terms]
+    return [snippet for *_, snippet in sorted(hits)[:k]]
 
 
 class TestOfflineCorpus:
@@ -28,6 +44,21 @@ class TestOfflineCorpus:
     def test_corpus_order_breaks_ties(self):
         tool = OfflineWebTool([(["x"], "first"), (["x"], "second")])
         assert tool.search("x y z", k=2) == ["first", "second"]
+        # records under different keys: query term order must not matter
+        keys = ["u", "v", "w", "x", "y", "z"]
+        tool = OfflineWebTool([([key], key) for key in keys])
+        assert tool.search("z y x w v u", k=6) == keys
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        keys=st.lists(st.lists(st.sampled_from(_KEYS), max_size=4), max_size=40),
+        query=st.lists(st.sampled_from(_KEYS + ["zebra", "Denmark's"]), max_size=6).map(" ".join),
+        k=st.integers(1, 12),
+    )
+    def test_search_matches_brute_force_scan(self, keys, query, k):
+        # Empty key lists, duplicate keys and equal key counts all occur.
+        records = [(record_keys, f"doc {idx}") for idx, record_keys in enumerate(keys)]
+        assert OfflineWebTool(records).search(query, k) == _scan_oracle(records, query, k)
 
     def test_malformed_corpus_record(self, tmp_path):
         path = tmp_path / "corpus.jsonl"

@@ -5,15 +5,21 @@ The offline corpus is JSON-lines, one record per snippet:
 record when every key appears among the query's word terms; matches rank by
 key count (more specific first), then corpus order.
 
-:class:`OfflineWebTool` files each record with keys under one of them, its
-least key, so a query checks only the records filed under its own terms: a
-match holds all its keys, so it is always among them, and no record is
-checked twice. A record without keys matches no query and is not filed.
+:class:`OfflineWebTool` files each record with keys under one of them, so a
+query checks only the records filed under its own terms: a match holds all
+its keys, so it is always among them, and no record is checked twice. The
+key is the record's rarest one (held by the fewest records, ties to the
+least), which keeps the buckets a query checks as small as the corpus
+allows: filed under a common word instead, every record holding it is
+checked by every query that holds it, and a query's cost depends on which
+common words it contains. A record without keys matches no query and is not
+filed.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections import Counter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -38,10 +44,20 @@ class WebTool(ABC):
 class OfflineWebTool(WebTool):
     def __init__(self, records: Iterable[tuple[Sequence[str], str]]):
         self._records = [(frozenset(keys), snippet) for keys, snippet in records]
-        self._index: dict[str, list[int]] = {}
+        counts = Counter(key for keys, _ in self._records for key in keys)
+        # Each bucket is a chain of record positions: _index maps a key to
+        # the last record filed under it, _next[idx] to the one filed before
+        # idx (-1 ends the chain). A list per bucket would add an object the
+        # garbage collector tracks for nearly every record; loaded next to a
+        # large graph, that cost one more full collection.
+        index: dict[str, int] = {}
+        nxt = [-1] * len(self._records)
         for idx, (keys, _) in enumerate(self._records):
             if keys:
-                self._index.setdefault(min(keys), []).append(idx)
+                key = min(sorted(keys), key=counts.__getitem__)
+                nxt[idx] = index.get(key, -1)
+                index[key] = idx
+        self._index, self._next = index, nxt
 
     @classmethod
     def from_path(cls, path: str | Path) -> "OfflineWebTool":
@@ -53,10 +69,12 @@ class OfflineWebTool(WebTool):
         terms = set(word_tokens(query))
         hits = []
         for term in terms:
-            for idx in self._index.get(term, ()):
+            idx = self._index.get(term, -1)
+            while idx >= 0:
                 keys, snippet = self._records[idx]
                 if keys <= terms:
                     hits.append((-len(keys), idx, snippet))
+                idx = self._next[idx]
         hits.sort()
         return [snippet for _, _, snippet in hits[:k]]
 

@@ -49,6 +49,18 @@ class TestOfflineCorpus:
         tool = OfflineWebTool([([key], key) for key in keys])
         assert tool.search("z y x w v u", k=6) == keys
 
+    def test_records_are_filed_under_their_rarest_key(self):
+        # Filed under "the", which every record holds, each record would be
+        # checked by every query that holds "the".
+        records = [(["the", f"u{n}"], f"doc {n}") for n in range(20)]
+        records += [(["the", "a"], "a1"), (["a", "b"], "a2"), (["d", "c"], "cd")]
+        tool = OfflineWebTool(records)
+        # "a" (2 records) beats "the" (21); "b" (1) beats "a"; "c" and "d"
+        # tie at 1 and the least wins.
+        assert tool._index == {**{f"u{n}": n for n in range(20)}, "a": 20, "b": 21, "c": 22}
+        assert set(tool._next) == {-1}
+        assert tool.search("the u3 a b", k=5) == ["doc 3", "a1", "a2"]
+
     @settings(max_examples=200, deadline=None)
     @given(
         keys=st.lists(st.lists(st.sampled_from(_KEYS), max_size=4), max_size=40),

@@ -11,6 +11,7 @@ from .rollout import FORCE_ANSWER_DIRECTIVE, STOP_TAGS, Policy, RolloutError
 from .text import normalize
 from .trajectory import (
     ANSWER,
+    INFO_FOR,
     NEIGHBOR_SEARCH,
     PLAN,
     RELATION_SEARCH,
@@ -83,10 +84,17 @@ class ScriptedOracle(Policy):
     def _consume_information(self, conversation: str) -> str | None:
         """React to the information block injected after our last search;
         returns the next emission when it follows directly (e.g. the
-        neighbor search after picking a relation), else None to advance."""
+        neighbor search after picking a relation), else None to advance.
+
+        Only the block the engine just appended is read: the conversation
+        from the last opening tag of the information kind answering the
+        pending search. Its content is "" when that block is missing or
+        does not parse. The prompt and earlier blocks are never re-read, so
+        a step costs the same however long the conversation is."""
         kind, head, relation = self._pending  # type: ignore[misc]
+        start = conversation.rfind(f"<{INFO_FOR[kind]}>")
         try:
-            steps = parse_trajectory(conversation).steps
+            steps = parse_trajectory(conversation[start:]).steps if start >= 0 else ()
         except ParseError:
             steps = ()
         last = steps[-1].content if steps else ""

@@ -8,6 +8,15 @@ out, at which point the policy is directed to answer from its own knowledge.
 A rollout therefore asks the policy for at most ``max_iterations + 3``
 segments (for ``max_iterations >= 1``), whatever it emits.
 
+Each segment is parsed once, on its own, so a step costs the same however
+long the trajectory has grown. This is exact: the text assembled so far is
+empty or ends at a closing tag (a segment is cut at the closing delimiter of
+its action, and injected information blocks are closed and never contain
+tag-like text), so the grammar starts afresh where the new piece begins and
+no tag can span the boundary. The piece parses to the steps a parse of the
+whole text would end with, and fails exactly when that parse would. The
+whole text is parsed once more at the end, to build the returned trajectory.
+
 Distinct rollouts may run concurrently: they share only the immutable graph
 and a web tool that tolerates concurrent queries; policy and conversation
 state are per-rollout.
@@ -31,6 +40,7 @@ from .trajectory import (
     ParseError,
     Step,
     Trajectory,
+    neutralize_tags,
     parse_trajectory,
 )
 from .web import WebTool, WebToolError
@@ -120,28 +130,32 @@ def dispatch_action(step: Step, kg: KnowledgeGraph, web: WebTool, cfg: RolloutCo
     """Execute one search step and return its information block. Malformed
     calls and :class:`WebToolError` (a web backend's transport or protocol
     failure) produce in-band content the policy can react to; any other
-    exception from a tool is a programming error and propagates."""
+    exception from a tool is a programming error and propagates. Tag-like
+    text in tool output is neutralized, so the block always parses back as
+    exactly one information step."""
     if step.tag not in SEARCH_TAGS:
         raise ValueError(f"dispatch_action expects a search step, got <{step.tag}>")
-    info_tag = INFO_FOR[step.tag]
+    return Step(INFO_FOR[step.tag], neutralize_tags(_tool_output(step, kg, web, cfg)))
+
+
+def _tool_output(step: Step, kg: KnowledgeGraph, web: WebTool, cfg: RolloutConfig) -> str:
     head, sep, relation = step.content.partition("|")
     head, relation = head.strip(), relation.strip()
     if not sep or not head or not relation:
-        return Step(info_tag, MALFORMED_TOOL_CALL)
+        return MALFORMED_TOOL_CALL
     if step.tag == RELATION_SEARCH:
         entity = kg.resolve_entity(head) or head
-        return Step(info_tag, ", ".join(kg.relation_search(entity, relation, cfg.top_k_relations)))
+        return ", ".join(kg.relation_search(entity, relation, cfg.top_k_relations))
     if step.tag == NEIGHBOR_SEARCH:
         entity = kg.resolve_entity(head) or head
         payload = kg.neighbor_search(entity, relation)
-        content = payload if isinstance(payload, str) else "; ".join(sorted(payload))
-        return Step(info_tag, content)
+        return payload if isinstance(payload, str) else "; ".join(sorted(payload))
     query = normalize(f"{head} {relation}")
     try:
         snippets = web.search(query, cfg.top_k_docs)
     except WebToolError:
-        return Step(info_tag, WEB_UNAVAILABLE)
-    return Step(info_tag, "\n".join(snippets))
+        return WEB_UNAVAILABLE
+    return "\n".join(snippets)
 
 
 def force_final_answer(policy: Policy, conversation: str) -> Step:
@@ -191,7 +205,7 @@ def run_rollout(
         if action is None and not piece.strip():
             break
         try:
-            parsed = parse_trajectory(text + piece, question_id=example.id, strict=cfg.strict_format)
+            parsed = parse_trajectory(piece, question_id=example.id, strict=cfg.strict_format)
         except ParseError:
             if cfg.strict_format:
                 raise RolloutError(

@@ -145,6 +145,15 @@ def parse_trajectory(text: str, question_id: str = "", strict: bool = False) -> 
     return Trajectory(question_id, tuple(steps), text)
 
 
+def neutralize_tags(text: str) -> str:
+    """``text`` with the ``<`` of every tag-like token (``<x>``, ``</x>``)
+    written as ``&lt;``, so that inside a block it parses as plain content.
+    Text without ``<`` is returned unchanged."""
+    if "<" not in text:
+        return text
+    return _TAG_RE.sub(lambda m: "&lt;" + m.group(0)[1:], text)
+
+
 def render_trajectory(traj: Trajectory) -> str:
     """Deterministic serialization; parsing the output yields step-equal
     steps. Implicit think steps render as bare text, so render-after-parse

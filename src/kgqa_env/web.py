@@ -24,6 +24,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .jsonio import post_json, read_jsonl
+from .kg import gc_paused
 from .text import word_tokens
 
 
@@ -60,6 +61,7 @@ class OfflineWebTool(WebTool):
         self._index, self._next = index, nxt
 
     @classmethod
+    @gc_paused
     def from_path(cls, path: str | Path) -> "OfflineWebTool":
         return cls(read_jsonl(
             path, WebToolError, "corpus record", lambda rec: ([str(key) for key in rec["keys"]], str(rec["snippet"]))

@@ -1,9 +1,12 @@
+import gc
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kgqa_env import web as kgqa_web
 from kgqa_env.kg import (
     SENTINEL,
     KGError,
@@ -19,6 +22,9 @@ from kgqa_env.kg import (
     write_removal_log,
 )
 from kgqa_env.qa import QAExample
+from kgqa_env.web import OfflineWebTool
+
+_TK1 = Path(__file__).parent / "data" / "tk1.tsv"
 
 
 def _example(qid, crits):
@@ -271,3 +277,59 @@ class TestSampleIkg:
         back = read_removal_log(path)
         assert back.entries == log.entries
         assert back.coverage == log.coverage
+
+
+class TestGcPause:
+    """The bulk loaders run with the cyclic collector paused and hand the
+    caller's collector state back however they end."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """Collector state observed inside each loader, via the builders they call."""
+        states = []
+        from_triples = KnowledgeGraph.from_triples.__func__
+        read_jsonl = kgqa_web.read_jsonl
+
+        def spy_graph(cls, *args, **kwargs):
+            states.append(gc.isenabled())
+            return from_triples(cls, *args, **kwargs)
+
+        def spy_corpus(*args, **kwargs):
+            states.append(gc.isenabled())
+            return read_jsonl(*args, **kwargs)
+
+        monkeypatch.setattr(KnowledgeGraph, "from_triples", classmethod(spy_graph))
+        monkeypatch.setattr(kgqa_web, "read_jsonl", spy_corpus)
+        return states
+
+    def _load_all(self, tmp_path):
+        kg = load_triples(_TK1)
+        sample_ikg(kg, [_example("q", sorted(kg.triples))], 0.5, seed=1)
+        corpus = tmp_path / "web.jsonl"
+        corpus.write_text('{"keys": ["a"], "snippet": "A."}\n')
+        OfflineWebTool.from_path(corpus)
+
+    def test_loaders_pause_and_restore(self, seen, tmp_path):
+        assert gc.isenabled()
+        self._load_all(tmp_path)
+        assert seen == [False, False, False]
+        assert gc.isenabled()
+
+    def test_state_restored_after_a_kg_error(self, tmp_path):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("a\tr\n")
+        with pytest.raises(KGError):
+            load_triples(bad)
+        assert gc.isenabled()
+        with pytest.raises(KGError):
+            sample_ikg(load_triples(_TK1), [], 1.5, seed=1)
+        assert gc.isenabled()
+
+    def test_a_caller_pause_is_kept(self, seen, tmp_path):
+        gc.disable()
+        try:
+            self._load_all(tmp_path)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+        assert seen == [False, False, False]

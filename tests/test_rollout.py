@@ -1,6 +1,11 @@
-import pytest
+import dataclasses
 
-from kgqa_env.kg import SENTINEL, KnowledgeGraph, Triple, sample_ikg
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kgqa_env import policies, rollout
+from kgqa_env.kg import SENTINEL, KnowledgeGraph, Triple, is_sentinel, sample_ikg
 from kgqa_env.policies import RemotePolicy, ScriptedOracle
 from kgqa_env.qa import QAExample
 from kgqa_env.rollout import (
@@ -11,13 +16,23 @@ from kgqa_env.rollout import (
     Policy,
     RolloutConfig,
     RolloutError,
+    _cut_at_action,
+    _render_block,
+    build_prompt,
     dispatch_action,
     force_final_answer,
     run_rollout,
 )
+from kgqa_env.text import normalize
 from kgqa_env.trajectory import (
+    ANSWER,
     INFO_TAGS,
+    NEIGHBOR_SEARCH,
+    PLAN,
+    RELATION_SEARCH,
     SEARCH_TAGS,
+    WEB_SEARCH,
+    ParseError,
     Step,
     answer_items,
     parse_trajectory,
@@ -298,3 +313,214 @@ class TestRemotePolicy:
         policy = RemotePolicy(stub_server.url("/missing"), timeout=5)
         with pytest.raises(RolloutError):
             policy.next_segment("conv")
+
+
+# -- reference: the rollout loop that re-parses everything on every step -----
+
+def _reference_rollout(policy, kg, web, example, cfg=None):
+    """The engine as it was before segments were parsed on their own: every
+    step re-parses the whole generated text."""
+    cfg = cfg or RolloutConfig()
+    prompt = build_prompt(example)
+    policy.reset(example)
+    text = ""
+    iterations = 0
+    answered = planned = False
+
+    while True:
+        segment = policy.next_segment(prompt + text)
+        piece, action = _cut_at_action(segment)
+        if action is None and not piece.strip():
+            break
+        try:
+            parsed = parse_trajectory(text + piece, question_id=example.id, strict=cfg.strict_format)
+        except ParseError:
+            if cfg.strict_format:
+                raise RolloutError(
+                    "policy emitted an unparseable segment",
+                    partial=parse_trajectory(text, example.id),
+                ) from None
+            break
+        text += piece
+        if action is None:
+            break
+        if action == ANSWER:
+            answered = True
+            break
+        if action == PLAN:
+            if planned:
+                break
+            planned = True
+            continue
+        info = dispatch_action(parsed.steps[-1], kg, web, cfg)
+        text += "\n" + _render_block(info)
+        iterations += 1
+        if iterations >= cfg.max_iterations:
+            break
+
+    if not answered:
+        answer = force_final_answer(policy, prompt + text)
+        text += ("\n" if text else "") + _render_block(answer)
+    return parse_trajectory(text, question_id=example.id)
+
+
+class _ReferenceOracle(ScriptedOracle):
+    """The scripted oracle as it was before it read only the last block: it
+    re-parses the whole conversation, prompt included."""
+
+    def _consume_information(self, conversation):
+        kind, head, relation = self._pending
+        try:
+            steps = parse_trajectory(conversation).steps
+        except ParseError:
+            steps = ()
+        last = steps[-1].content if steps else ""
+        if kind == RELATION_SEARCH:
+            candidates = [c.strip() for c in last.split(",") if c.strip()]
+            chosen = next((c for c in candidates if normalize(c) == normalize(relation)), relation)
+            self._pending = (NEIGHBOR_SEARCH, head, chosen)
+            return policies._block(NEIGHBOR_SEARCH, f"{head} | {chosen}")
+        if kind == NEIGHBOR_SEARCH:
+            if is_sentinel(last):
+                self._pending = (WEB_SEARCH, head, relation)
+                return policies._block(WEB_SEARCH, f"{head} | {relation}")
+            self._accum |= {normalize(part) for part in last.split(";") if normalize(part)}
+            self._pending = None
+            return None
+        self._accum |= self._gold.get((normalize(head), relation), set())
+        self._pending = None
+        return None
+
+
+class Recorder(Policy):
+    """Passes calls through to ``inner`` and keeps every conversation shown."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.conversations = []
+
+    def reset(self, example):
+        self.inner.reset(example)
+
+    def next_segment(self, conversation):
+        self.conversations.append(conversation)
+        return self.inner.next_segment(conversation)
+
+
+def _outcome(run, policy, kg, web, example, cfg):
+    """Everything a rollout exposes: the trajectory (steps with spans, raw
+    text) or the strict-mode error with its partial trajectory, and the
+    conversations the policy was shown."""
+    recorder = Recorder(policy)
+    try:
+        traj = run(recorder, kg, web, example, cfg)
+        result = ("trajectory", traj.question_id, traj.steps, traj.raw)
+    except RolloutError as err:
+        result = ("error", str(err), err.partial.question_id, err.partial.steps, err.partial.raw)
+    return result, recorder.conversations
+
+
+_CONTENTS = st.sampled_from([
+    "", "x", "Iranian rial | currency_of", "Iranian_rial | currency", "Iran | country",
+    "no delimiter", " | currency_of", "S1: Ans(country | currency_of(Iranian rial, ?))",
+])
+_TAGS = st.sampled_from([
+    "think", "plan", "relation_search", "neighbor_search", "web_search", "answer", "relation_information",
+])
+_PARTS = st.one_of(
+    st.sampled_from(["", " ", "\n", "bare words", "x < y"]),
+    st.builds("<{0}>{1}</{0}>".format, _TAGS, _CONTENTS),
+    st.builds("<lookup>{}</lookup>".format, _CONTENTS),
+    st.builds("</{}>".format, _TAGS),
+    st.builds("<{}>{}".format, _TAGS, _CONTENTS),
+)
+#: A policy segment: zero or more parts; zero parts is empty output.
+_SEGMENTS = st.lists(st.lists(_PARTS, max_size=4).map("".join), max_size=8)
+
+
+class TestEquivalence:
+    """Parsing each segment once gives what re-parsing everything gave."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(segments=_SEGMENTS, strict=st.booleans(), max_iterations=st.integers(1, 4))
+    def test_random_policies(self, tk1, tk1_example, tk1_web, segments, strict, max_iterations):
+        cfg = RolloutConfig(max_iterations=max_iterations, strict_format=strict)
+        expected = _outcome(_reference_rollout, ScriptedSegments(segments), tk1, tk1_web, tk1_example, cfg)
+        assert _outcome(run_rollout, ScriptedSegments(segments), tk1, tk1_web, tk1_example, cfg) == expected
+
+    @pytest.mark.parametrize("max_iterations", [3, 10])
+    def test_scripted_oracle_on_the_toy_suite(self, toy_kg, toy_qa, toy_web, max_iterations):
+        ikg, _ = sample_ikg(toy_kg, toy_qa, 0.4, seed=7)
+        cfg = RolloutConfig(max_iterations=max_iterations)
+        for graph in (toy_kg, ikg):
+            for ex in toy_qa:
+                expected = _outcome(_reference_rollout, _ReferenceOracle(), graph, toy_web, ex, cfg)
+                assert _outcome(run_rollout, ScriptedOracle(), graph, toy_web, ex, cfg) == expected, ex.id
+
+
+class _SnippetWeb(WebTool):
+    def __init__(self, snippets):
+        self._snippets = snippets
+
+    def search(self, query, k):
+        return self._snippets[:k]
+
+
+class TestTagLikeText:
+    def test_injected_information_never_breaks_the_grammar(self, tk1_example):
+        kg = KnowledgeGraph.from_triples([
+            Triple("Iranian_rial", "currency_of", "Iran_<x>"),
+            Triple("Iranian_rial", "currency_<x>_code", "IRR"),
+        ])
+        web = _SnippetWeb(["see <br> here", "</web_information> and <x>"])
+        policy = ScriptedSegments([
+            "<plan>S1: Ans(country | currency_of(Iranian rial, ?))</plan>",
+            "<relation_search>Iranian rial | currency_of</relation_search>",
+            "<neighbor_search>Iranian rial | currency_of</neighbor_search>",
+            "<web_search>Iranian rial | currency_of</web_search>",
+            "<answer>Iran</answer>",
+        ])
+        traj = run_rollout(policy, kg, web, tk1_example)
+        assert traj.step_signature[1:] == [
+            ("relation_search", "Iranian rial | currency_of"),
+            ("relation_information", "currency_of, currency_&lt;x>_code"),
+            ("neighbor_search", "Iranian rial | currency_of"),
+            ("neighbor_information", "Iran &lt;x>"),
+            ("web_search", "Iranian rial | currency_of"),
+            ("web_information", "see &lt;br> here\n&lt;/web_information> and &lt;x>"),
+            ("answer", "Iran"),
+        ]
+        assert validate_format(traj).valid
+
+    def test_oracle_answers_a_question_with_tag_like_text(self, tk1, tk1_example, tk1_web):
+        example = dataclasses.replace(tk1_example, question=tk1_example.question + " <i>exactly</i>")
+        traj = run_rollout(ScriptedOracle(), tk1, tk1_web, example)
+        assert answer_items(traj) == ["iran"]
+
+
+def test_rollout_parses_linear_text(monkeypatch, tk1_web):
+    """A fan-out over 300 heads (602 tool calls) parses at most three times
+    the trajectory's length, counting the engine's and the oracle's parses."""
+    heads = [f"Branch_{i}" for i in range(300)]
+    triples = [Triple("Hub", "branch_to", h) for h in heads] + [Triple(h, "holds", f"Coin_{h}") for h in heads]
+    example = QAExample(
+        id="wide",
+        question="Which coins do the branches of Hub hold?",
+        topic_entities=("Hub",),
+        answers=tuple((f"Coin {h}",) for h in heads),
+        critical_triples=tuple(triples),
+        plan="S1: Ans(place | branch_to(Hub, ?))\nS2: Ans(coin | holds(S1, ?))",
+    )
+    parsed = []
+
+    def counting(text, *args, **kwargs):
+        parsed.append(len(text))
+        return parse_trajectory(text, *args, **kwargs)
+
+    monkeypatch.setattr(rollout, "parse_trajectory", counting)
+    monkeypatch.setattr(policies, "parse_trajectory", counting)
+    traj = run_rollout(ScriptedOracle(), KnowledgeGraph.from_triples(triples), tk1_web, example,
+                       RolloutConfig(max_iterations=800))
+    assert sum(1 for s in traj.steps if s.tag in SEARCH_TAGS) == 602
+    assert len(answer_items(traj)) == 300
+    assert sum(parsed) <= 3 * len(traj.raw)

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kgqa_env.trajectory import (
     ANSWER_COUNT,
@@ -12,6 +14,7 @@ from kgqa_env.trajectory import (
     Step,
     Trajectory,
     answer_items,
+    neutralize_tags,
     parse_trajectory,
     render_trajectory,
     retrieval_mask,
@@ -71,6 +74,17 @@ class TestParse:
         with pytest.raises(ParseError, match="strict"):
             parse_trajectory("hello <plan>P</plan>", strict=True)
         parse_trajectory("<plan>P</plan>", strict=True)
+
+    @given(st.text(alphabet="<>/_ax&\n", max_size=40) | st.text(max_size=40))
+    def test_neutralized_content_parses_back_as_one_block(self, content):
+        safe = neutralize_tags(content)
+        traj = parse_trajectory(f"<web_information>{safe}</web_information>")
+        assert traj.step_signature == [("web_information", safe)]
+        if "<" not in content:
+            assert safe is content
+
+    def test_neutralize_rewrites_only_tag_like_text(self):
+        assert neutralize_tags("see <br> here </x> a < b <<i>") == "see &lt;br> here &lt;/x> a < b <&lt;i>"
 
     def test_spans_cover_content(self):
         text = "<plan>P</plan><answer>Iran</answer>"

@@ -33,6 +33,15 @@ def read_jsonl(
             yield rec
 
 
+def json_list(value: Any, field: str) -> list:
+    """``value`` if it is a JSON array; else ``ValueError`` naming ``field``,
+    which :func:`read_jsonl` reports with the file and line. A string is not
+    taken for a list of its characters."""
+    if not isinstance(value, list):
+        raise ValueError(f"{field!r} must be a list, got {value!r}")
+    return value
+
+
 def write_jsonl(records: Iterable[Any], path: str | Path, ensure_ascii: bool = False) -> None:
     """Write one compact JSON document per line (UTF-8)."""
     with Path(path).open("w", encoding="utf-8") as fh:

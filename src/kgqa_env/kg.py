@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence, TypeVar
 
-from .jsonio import read_jsonl, write_jsonl
+from .jsonio import json_list, read_jsonl, write_jsonl
 from .text import levenshtein, normalize, token_jaccard, word_tokens
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -215,7 +215,7 @@ def load_aliases(path: str | Path) -> dict[str, list[str]]:
     """Load a JSON-lines alias file ({"entity": id, "aliases": [text, ...]})."""
     alias_map: dict[str, list[str]] = {}
     def record(rec: dict) -> tuple[str, list[str]]:
-        return rec["entity"], [str(n) for n in rec["aliases"]]
+        return str(rec["entity"]), [str(n) for n in json_list(rec["aliases"], "aliases")]
 
     for entity, names in read_jsonl(path, KGError, "alias record", record):
         alias_map.setdefault(entity, []).extend(names)
@@ -285,7 +285,8 @@ def read_removal_log(path: str | Path) -> RemovalLog:
     def record(rec: dict) -> tuple[str, list[Triple], str]:
         if rec["coverage"] not in (COVERAGE_CKG, COVERAGE_IKG):
             raise ValueError(f"unknown coverage label {rec['coverage']!r}")
-        return rec["id"], [Triple(*t) for t in rec["removed"]], rec["coverage"]
+        removed = [Triple(*json_list(t, "removed")) for t in json_list(rec["removed"], "removed")]
+        return rec["id"], removed, rec["coverage"]
 
     entries: dict[str, list[Triple]] = {}
     coverage: dict[str, str] = {}

@@ -157,7 +157,7 @@ def _parse_expr(src: str, lineno: int) -> Expr:
 def parse_plan(content: str) -> Plan:
     """Parse the inner text of a plan block. Raises :class:`PlanError` with
     the line number for syntax errors, duplicate ids, undeclared references
-    and dependency cycles."""
+    and dependency cycles, and for a plan with no sub-questions."""
     subs: list[SubQuestion] = []
     declared: set[str] = set()
     for lineno, line in enumerate(content.splitlines(), start=1):
@@ -171,6 +171,8 @@ def parse_plan(content: str) -> Plan:
             raise PlanError(f"line {lineno}: duplicate sub-question id {sq_id}")
         declared.add(sq_id)
         subs.append(SubQuestion(sq_id, m.group(2).strip(), _parse_expr(m.group(2), lineno)))
+    if not subs:
+        raise PlanError("plan has no sub-questions")
     plan = Plan(tuple(subs))
     for sq in subs:
         for dep in expr_dependencies(sq.expr):

@@ -3,27 +3,27 @@ for a remote chat-style generation endpoint."""
 
 from __future__ import annotations
 
+from typing import Generator
+
 from .jsonio import post_json
 from .kg import display, is_sentinel
-from .plan import Ans, Plan, eval_expr, execution_order, parse_plan
+from .plan import Ans, eval_expr, execution_order, parse_plan
 from .qa import QAExample
 from .rollout import FORCE_ANSWER_DIRECTIVE, STOP_TAGS, Policy, RolloutError
 from .text import normalize
 from .trajectory import (
     ANSWER,
-    INFO_FOR,
+    NEIGHBOR_INFORMATION,
     NEIGHBOR_SEARCH,
     PLAN,
+    RELATION_INFORMATION,
     RELATION_SEARCH,
     THINK,
     WEB_SEARCH,
     ParseError,
     parse_trajectory,
+    render_block,
 )
-
-
-def _block(tag: str, content: str) -> str:
-    return f"<{tag}>{content}</{tag}>"
 
 
 class ScriptedOracle(Policy):
@@ -37,117 +37,86 @@ class ScriptedOracle(Policy):
     derails the scripted path. Set-algebra sub-questions are evaluated
     internally without tool calls. When a head reference is bound to several
     answers, the oracle fans out one tool-call chain per answer and unions
-    the results.
+    the results. The plan runs as one generator, :func:`_script`; the
+    forced-answer directive is answered here, without resuming it.
     """
 
     def __init__(self) -> None:
         self._example: QAExample | None = None
-        self._plan: Plan | None = None
+        self._script: Generator[str, str, None] | None = None
 
     def reset(self, example: QAExample) -> None:
         if not example.plan:
             raise RolloutError(f"question {example.id!r} has no recorded plan for the scripted oracle")
         self._example = example
-        self._plan = parse_plan(example.plan)
-        self._order = execution_order(self._plan)
-        self._plan_emitted = False
-        self._qi = 0
-        self._heads: list[str] = []
-        self._heads_initialized = False
-        self._accum: set[str] = set()
-        self._bindings: dict[str, set[str]] = {}
-        # Gold-path knowledge for web fallbacks: (head surface, relation) -> tails.
-        self._gold: dict[tuple[str, str], set[str]] = {}
-        for h, r, t in example.critical_triples:
-            self._gold.setdefault((normalize(display(h)), r), set()).add(normalize(display(t)))
-        # (pending kind, head, relation) awaiting the injected information block.
-        self._pending: tuple[str, str, str] | None = None
-        self._done = False
+        self._script = _script(example)
+        next(self._script)  # runs the set-up, so a bad plan raises PlanError here
 
     def next_segment(self, conversation: str) -> str:
-        assert self._example is not None and self._plan is not None, "reset() first"
+        assert self._example is not None and self._script is not None, "reset() first"
         if conversation.rstrip().endswith(FORCE_ANSWER_DIRECTIVE):
-            return _block(ANSWER, self._forced_answer())
-        if self._done:
-            return ""
-        if not self._plan_emitted:
-            self._plan_emitted = True
-            return _block(THINK, "Decompose the question and schedule retrieval.") + "\n" + _block(PLAN, self._example.plan)
-        if self._pending is not None:
-            emission = self._consume_information(conversation)
-            if emission is not None:
-                return emission
-        return self._advance()
-
-    # -- internals ---------------------------------------------------------
-
-    def _consume_information(self, conversation: str) -> str | None:
-        """React to the information block injected after our last search;
-        returns the next emission when it follows directly (e.g. the
-        neighbor search after picking a relation), else None to advance.
-
-        Only the block the engine just appended is read: the conversation
-        from the last opening tag of the information kind answering the
-        pending search. Its content is "" when that block is missing or
-        does not parse. The prompt and earlier blocks are never re-read, so
-        a step costs the same however long the conversation is."""
-        kind, head, relation = self._pending  # type: ignore[misc]
-        start = conversation.rfind(f"<{INFO_FOR[kind]}>")
+            return render_block(ANSWER, "; ".join(aliases[0] for aliases in self._example.answers if aliases))
         try:
-            steps = parse_trajectory(conversation[start:]).steps if start >= 0 else ()
-        except ParseError:
-            steps = ()
-        last = steps[-1].content if steps else ""
-        if kind == RELATION_SEARCH:
+            return self._script.send(conversation)
+        except StopIteration:
+            return ""
+
+
+def _script(example: QAExample) -> Generator[str, str, None]:
+    """Run ``example``'s recorded plan top to bottom. Each ``yield`` emits
+    one segment and receives the conversation the engine shows next; the
+    first ``next`` runs the set-up and stops before the first emission.
+
+    A seeded deviation of a perturbed oracle would replace or skip the
+    ``yield`` it perturbs. A partial-hop fallback would go where the
+    neighbor tails are read: when they miss a gold tail of the hop, search
+    the web as on the sentinel and bind the gold tails.
+    """
+    plan = parse_plan(example.plan)
+    # Gold-path knowledge for web fallbacks: (head surface, relation) -> tails.
+    gold: dict[tuple[str, str], set[str]] = {}
+    for h, r, t in example.critical_triples:
+        gold.setdefault((normalize(display(h)), r), set()).add(normalize(display(t)))
+    bindings: dict[str, set[str]] = {}
+    yield ""  # primed: reset() returns here
+    yield (render_block(THINK, "Decompose the question and schedule retrieval.")
+           + "\n" + render_block(PLAN, example.plan))
+    for sq_id in execution_order(plan):
+        expr = plan.by_id(sq_id).expr
+        if not isinstance(expr, Ans):
+            bindings[sq_id] = eval_expr(expr, bindings)
+            continue
+        hypothesis = expr.relation_hypothesis
+        tails: set[str] = set()
+        for head in sorted(bindings[expr.head]) if expr.head_is_ref else [expr.head]:
+            conversation = yield render_block(RELATION_SEARCH, f"{head} | {hypothesis}")
             # Prefer the candidate matching the recorded hypothesis (keeps
             # canonical casing); a missing hypothesis means the graph lost
             # this hop, so keep it anyway and let the sentinel trigger web.
-            candidates = [c.strip() for c in last.split(",") if c.strip()]
-            chosen = next((c for c in candidates if normalize(c) == normalize(relation)), relation)
-            self._pending = (NEIGHBOR_SEARCH, head, chosen)
-            return _block(NEIGHBOR_SEARCH, f"{head} | {chosen}")
-        if kind == NEIGHBOR_SEARCH:
-            if is_sentinel(last):
-                self._pending = (WEB_SEARCH, head, relation)
-                return _block(WEB_SEARCH, f"{head} | {relation}")
-            self._accum |= {normalize(part) for part in last.split(";") if normalize(part)}
-            self._pending = None
-            return None
-        # Web results arrived; bind the recorded gold tails for this hop.
-        self._accum |= self._gold.get((normalize(head), relation), set())
-        self._pending = None
-        return None
+            candidates = [c.strip() for c in _last_block(conversation, RELATION_INFORMATION).split(",") if c.strip()]
+            relation = next((c for c in candidates if normalize(c) == normalize(hypothesis)), hypothesis)
+            conversation = yield render_block(NEIGHBOR_SEARCH, f"{head} | {relation}")
+            found = _last_block(conversation, NEIGHBOR_INFORMATION)
+            if is_sentinel(found):
+                yield render_block(WEB_SEARCH, f"{head} | {relation}")
+                tails |= gold.get((normalize(head), relation), set())
+            else:
+                tails |= {normalize(part) for part in found.split(";") if normalize(part)}
+        bindings[sq_id] = tails
+    yield render_block(ANSWER, "; ".join(sorted(bindings[plan.sub_questions[-1].id])))
 
-    def _advance(self) -> str:
-        plan = self._plan
-        assert plan is not None
-        while self._qi < len(self._order):
-            sub = plan.by_id(self._order[self._qi])
-            expr = sub.expr
-            if not isinstance(expr, Ans):
-                self._bindings[sub.id] = eval_expr(expr, self._bindings)
-                self._qi += 1
-                continue
-            if not self._heads_initialized:
-                self._heads = [expr.head] if not expr.head_is_ref else sorted(self._bindings.get(expr.head, set()))
-                self._accum = set()
-                self._heads_initialized = True
-            if self._heads:
-                head = self._heads.pop(0)
-                self._pending = (RELATION_SEARCH, head, expr.relation_hypothesis)
-                return _block(RELATION_SEARCH, f"{head} | {expr.relation_hypothesis}")
-            self._bindings[sub.id] = set(self._accum)
-            self._accum = set()
-            self._heads_initialized = False
-            self._qi += 1
-        self._done = True
-        final_id = plan.sub_questions[-1].id
-        answers = sorted(self._bindings.get(final_id, set()))
-        return _block(ANSWER, "; ".join(answers))
 
-    def _forced_answer(self) -> str:
-        assert self._example is not None
-        return "; ".join(aliases[0] for aliases in self._example.answers if aliases)
+def _last_block(conversation: str, tag: str) -> str:
+    """Content of the conversation's last step, parsed from the last
+    opening ``tag`` on; "" when there is no such tag or the rest does not
+    parse. The prompt and earlier blocks are never re-read, so a step costs
+    the same however long the conversation is."""
+    start = conversation.rfind(f"<{tag}>")
+    try:
+        steps = parse_trajectory(conversation[start:]).steps if start >= 0 else ()
+    except ParseError:
+        steps = ()
+    return steps[-1].content if steps else ""
 
 
 class RemotePolicy(Policy):

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .jsonio import read_jsonl, write_jsonl
+from .jsonio import json_list, read_jsonl, write_jsonl
 from .kg import Triple
 
 
@@ -36,12 +36,13 @@ def load_qa(path: str | Path) -> list[QAExample]:
     seen: set[str] = set()
 
     def example(rec: dict) -> QAExample:
+        triples = json_list(rec.get("critical_triples", []), "critical_triples")
         ex = QAExample(
             id=str(rec["id"]),
             question=str(rec["question"]),
-            topic_entities=tuple(str(e) for e in rec["topic_entities"]),
-            answers=tuple(tuple(str(a) for a in aliases) for aliases in rec["answers"]),
-            critical_triples=tuple(Triple(*(str(x) for x in t)) for t in rec.get("critical_triples", [])),
+            topic_entities=tuple(str(e) for e in json_list(rec["topic_entities"], "topic_entities")),
+            answers=tuple(tuple(str(a) for a in json_list(s, "answers")) for s in json_list(rec["answers"], "answers")),
+            critical_triples=tuple(Triple(*(str(x) for x in json_list(t, "critical_triples"))) for t in triples),
             plan=rec.get("plan"),
         )
         if ex.id in seen:

@@ -42,6 +42,7 @@ from .trajectory import (
     Trajectory,
     neutralize_tags,
     parse_trajectory,
+    render_block,
 )
 from .web import WebTool, WebToolError
 
@@ -173,10 +174,6 @@ def force_final_answer(policy: Policy, conversation: str) -> Step:
     return Step(ANSWER, "")
 
 
-def _render_block(step: Step) -> str:
-    return f"<{step.tag}>{step.content}</{step.tag}>"
-
-
 def run_rollout(
     policy: Policy,
     kg: KnowledgeGraph,
@@ -227,12 +224,12 @@ def run_rollout(
             planned = True
             continue
         info = dispatch_action(parsed.steps[-1], kg, web, cfg)
-        text += "\n" + _render_block(info)
+        text += "\n" + render_block(info.tag, info.content)
         iterations += 1
         if iterations >= cfg.max_iterations:
             break
 
     if not answered:
         answer = force_final_answer(policy, prompt + text)
-        text += ("\n" if text else "") + _render_block(answer)
+        text += ("\n" if text else "") + render_block(answer.tag, answer.content)
     return parse_trajectory(text, question_id=example.id)

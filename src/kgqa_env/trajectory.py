@@ -154,11 +154,16 @@ def neutralize_tags(text: str) -> str:
     return _TAG_RE.sub(lambda m: "&lt;" + m.group(0)[1:], text)
 
 
+def render_block(tag: str, content: str) -> str:
+    """One ``<tag>content</tag>`` block, the delimiters the grammar parses."""
+    return f"<{tag}>{content}</{tag}>"
+
+
 def render_trajectory(traj: Trajectory) -> str:
     """Deterministic serialization; parsing the output yields step-equal
     steps. Implicit think steps render as bare text, so render-after-parse
     reproduces the source up to whitespace."""
-    pieces = [s.content if s.implicit else f"<{s.tag}>{s.content}</{s.tag}>" for s in traj.steps]
+    pieces = [s.content if s.implicit else render_block(s.tag, s.content) for s in traj.steps]
     return "\n".join(pieces)
 
 

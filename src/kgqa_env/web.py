@@ -23,7 +23,7 @@ from collections import Counter
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .jsonio import post_json, read_jsonl
+from .jsonio import json_list, post_json, read_jsonl
 from .kg import gc_paused
 from .text import word_tokens
 
@@ -64,7 +64,8 @@ class OfflineWebTool(WebTool):
     @gc_paused
     def from_path(cls, path: str | Path) -> "OfflineWebTool":
         return cls(read_jsonl(
-            path, WebToolError, "corpus record", lambda rec: ([str(key) for key in rec["keys"]], str(rec["snippet"]))
+            path, WebToolError, "corpus record",
+            lambda rec: ([str(key) for key in json_list(rec["keys"], "keys")], str(rec["snippet"])),
         ))
 
     def search(self, query: str, k: int) -> list[str]:

@@ -154,6 +154,15 @@ class TestRolloutFlags:
         assert "web-corpus" in stderr
 
 
+    def test_blank_recorded_plan_is_reported(self, capsys, tmp_path):
+        qa = tmp_path / "qa.jsonl"
+        qa.write_text('{"id": "q", "question": "?", "topic_entities": [], "answers": [["a"]], "plan": "  \\n"}\n')
+        rc, _, stderr = run(capsys, "rollout", "--kg", str(TOY_KG), "--qa", str(qa), "--web", "offline",
+                            "--web-corpus", str(TOY_WEB_CORPUS), "--out", str(tmp_path / "t.jsonl"))
+        assert rc == 1
+        assert "no sub-questions" in stderr
+
+
 class TestFilterFlags:
     def test_remote_judge_requires_url(self, capsys, tmp_path):
         rc, _, stderr = run(capsys, "filter-sft", "--traj", "t", "--qa", "q", "--ikg-log", "l",

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from kgqa_env.filtering import (
@@ -85,6 +87,12 @@ class TestFixtureSuite:
         assert ANSWER_CHECK in strict.failed_checks
         loose = filter_trajectory(traj, tk1_example, "CKG", RuleJudge(), answer_threshold=0.5)
         assert ANSWER_CHECK not in loose.failed_checks
+
+    def test_blank_plan_fails_plan_judge(self, tk1_example):
+        example = dataclasses.replace(tk1_example, topic_entities=())
+        traj = parse_trajectory("<plan></plan>" + KG_HIT + GOOD)
+        verdict = filter_trajectory(traj, example, "CKG", RuleJudge())
+        assert verdict.failed_checks == (PLAN_JUDGE,)
 
     def test_unknown_coverage_is_an_error(self, tk1_example):
         traj = parse_trajectory(SUITE[0][1])

@@ -71,6 +71,23 @@ class TestLoad:
         with pytest.raises(KGError, match=f"line 1 of {log}: unknown coverage label 'PARTIAL'"):
             read_removal_log(log)
 
+    def test_string_aliases_are_not_a_list(self, tmp_path):
+        aliases = tmp_path / "aliases.jsonl"
+        aliases.write_text('{"entity": "Iran", "aliases": "Persia"}\n')
+        with pytest.raises(KGError, match=f"line 1 of {aliases}: 'aliases' must be a list"):
+            load_aliases(aliases)
+
+    def test_numeric_alias_entity_is_read_as_text(self, tmp_path):
+        aliases = tmp_path / "aliases.jsonl"
+        aliases.write_text('{"entity": 5, "aliases": ["five"]}\n')
+        assert load_aliases(aliases) == {"5": ["five"]}
+
+    def test_string_removed_triple_is_not_a_list(self, tmp_path):
+        log = tmp_path / "log.jsonl"
+        log.write_text('{"id": "q", "removed": ["abc"], "coverage": "IKG"}\n')
+        with pytest.raises(KGError, match=f"line 1 of {log}: 'removed' must be a list"):
+            read_removal_log(log)
+
     def test_alias_map_defaults_to_display_form(self, tk1):
         assert tk1.aliases["Iranian_rial"][0] == "Iranian rial"
         assert tk1.resolve_entity("iranian rial") == "Iranian_rial"

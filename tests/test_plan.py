@@ -86,6 +86,11 @@ class TestParse:
         plan = parse_plan("S1: Ans(t | r(x, ?))\nS2: S1")
         assert plan.by_id("S2").expr == Ref("S1")
 
+    @pytest.mark.parametrize("text", ["", "  \n", "\n\n"])
+    def test_blank_plan_is_an_error(self, text):
+        with pytest.raises(PlanError, match="no sub-questions"):
+            parse_plan(text)
+
     def test_relation_call_must_end_with_placeholder(self):
         with pytest.raises(PlanError, match="line 1"):
             parse_plan("S1: Ans(t | r(x, y))")

@@ -39,3 +39,17 @@ def test_duplicate_ids_rejected(tmp_path):
     path.write_text(line + line)
     with pytest.raises(QAError, match="duplicate"):
         load_qa(path)
+
+
+@pytest.mark.parametrize("field", [
+    '"topic_entities": "Iran", "answers": [["Iran"]]',
+    '"topic_entities": [], "answers": "Iran"',
+    '"topic_entities": [], "answers": ["Iran"]',
+    '"topic_entities": [], "answers": [["Iran"]], "critical_triples": ["abc"]',
+    '"topic_entities": [], "answers": [["Iran"]], "critical_triples": "abc"',
+], ids=["topic entities", "answers", "alias set", "critical triple", "critical triples"])
+def test_a_string_is_not_a_list(tmp_path, field):
+    path = tmp_path / "qa.jsonl"
+    path.write_text('{"id": "q", "question": "?", ' + field + "}\n")
+    with pytest.raises(QAError, match=f"line 1 of {path}: .* must be a list"):
+        load_qa(path)

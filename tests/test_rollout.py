@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgqa_env import policies, rollout
-from kgqa_env.kg import SENTINEL, KnowledgeGraph, Triple, is_sentinel, sample_ikg
+from kgqa_env.kg import SENTINEL, KnowledgeGraph, Triple, display, is_sentinel, sample_ikg
+from kgqa_env.plan import Ans, PlanError, eval_expr, execution_order, parse_plan
 from kgqa_env.policies import RemotePolicy, ScriptedOracle
 from kgqa_env.qa import QAExample
 from kgqa_env.rollout import (
@@ -17,7 +18,6 @@ from kgqa_env.rollout import (
     RolloutConfig,
     RolloutError,
     _cut_at_action,
-    _render_block,
     build_prompt,
     dispatch_action,
     force_final_answer,
@@ -31,11 +31,13 @@ from kgqa_env.trajectory import (
     PLAN,
     RELATION_SEARCH,
     SEARCH_TAGS,
+    THINK,
     WEB_SEARCH,
     ParseError,
     Step,
     answer_items,
     parse_trajectory,
+    render_block,
     validate_format,
 )
 from kgqa_env.web import OfflineWebTool, WebTool, WebToolError
@@ -167,6 +169,11 @@ class TestOracleRollout:
         bare = QAExample(id="x", question="q", topic_entities=(), answers=(("a",),))
         with pytest.raises(RolloutError, match="recorded plan"):
             run_rollout(ScriptedOracle(), tk1, tk1_web, bare)
+
+    def test_blank_plan_is_an_error(self, tk1, tk1_web, tk1_example):
+        blank = dataclasses.replace(tk1_example, plan="  \n")
+        with pytest.raises(PlanError, match="no sub-questions"):
+            run_rollout(ScriptedOracle(), tk1, tk1_web, blank)
 
     def test_fan_out_unions_over_multiple_heads(self, tk1_web):
         kg = KnowledgeGraph.from_triples([
@@ -353,20 +360,54 @@ def _reference_rollout(policy, kg, web, example, cfg=None):
             planned = True
             continue
         info = dispatch_action(parsed.steps[-1], kg, web, cfg)
-        text += "\n" + _render_block(info)
+        text += "\n" + render_block(info.tag, info.content)
         iterations += 1
         if iterations >= cfg.max_iterations:
             break
 
     if not answered:
         answer = force_final_answer(policy, prompt + text)
-        text += ("\n" if text else "") + _render_block(answer)
+        text += ("\n" if text else "") + render_block(answer.tag, answer.content)
     return parse_trajectory(text, question_id=example.id)
 
 
-class _ReferenceOracle(ScriptedOracle):
-    """The scripted oracle as it was before it read only the last block: it
-    re-parses the whole conversation, prompt included."""
+class _ReferenceOracle(Policy):
+    """The scripted oracle as a state machine, as it was before it ran as
+    one generator and before it read only the last block: it re-parses the
+    whole conversation, prompt included."""
+
+    def reset(self, example):
+        if not example.plan:
+            raise RolloutError(f"question {example.id!r} has no recorded plan for the scripted oracle")
+        self._example = example
+        self._plan = parse_plan(example.plan)
+        self._order = execution_order(self._plan)
+        self._plan_emitted = False
+        self._qi = 0
+        self._heads = []
+        self._heads_initialized = False
+        self._accum = set()
+        self._bindings = {}
+        self._gold = {}
+        for h, r, t in example.critical_triples:
+            self._gold.setdefault((normalize(display(h)), r), set()).add(normalize(display(t)))
+        self._pending = None
+        self._done = False
+
+    def next_segment(self, conversation):
+        if conversation.rstrip().endswith(FORCE_ANSWER_DIRECTIVE):
+            return render_block(ANSWER, "; ".join(aliases[0] for aliases in self._example.answers if aliases))
+        if self._done:
+            return ""
+        if not self._plan_emitted:
+            self._plan_emitted = True
+            return (render_block(THINK, "Decompose the question and schedule retrieval.") + "\n"
+                    + render_block(PLAN, self._example.plan))
+        if self._pending is not None:
+            emission = self._consume_information(conversation)
+            if emission is not None:
+                return emission
+        return self._advance()
 
     def _consume_information(self, conversation):
         kind, head, relation = self._pending
@@ -379,17 +420,41 @@ class _ReferenceOracle(ScriptedOracle):
             candidates = [c.strip() for c in last.split(",") if c.strip()]
             chosen = next((c for c in candidates if normalize(c) == normalize(relation)), relation)
             self._pending = (NEIGHBOR_SEARCH, head, chosen)
-            return policies._block(NEIGHBOR_SEARCH, f"{head} | {chosen}")
+            return render_block(NEIGHBOR_SEARCH, f"{head} | {chosen}")
         if kind == NEIGHBOR_SEARCH:
             if is_sentinel(last):
                 self._pending = (WEB_SEARCH, head, relation)
-                return policies._block(WEB_SEARCH, f"{head} | {relation}")
+                return render_block(WEB_SEARCH, f"{head} | {relation}")
             self._accum |= {normalize(part) for part in last.split(";") if normalize(part)}
             self._pending = None
             return None
         self._accum |= self._gold.get((normalize(head), relation), set())
         self._pending = None
         return None
+
+    def _advance(self):
+        while self._qi < len(self._order):
+            sub = self._plan.by_id(self._order[self._qi])
+            expr = sub.expr
+            if not isinstance(expr, Ans):
+                self._bindings[sub.id] = eval_expr(expr, self._bindings)
+                self._qi += 1
+                continue
+            if not self._heads_initialized:
+                self._heads = [expr.head] if not expr.head_is_ref else sorted(self._bindings.get(expr.head, set()))
+                self._accum = set()
+                self._heads_initialized = True
+            if self._heads:
+                head = self._heads.pop(0)
+                self._pending = (RELATION_SEARCH, head, expr.relation_hypothesis)
+                return render_block(RELATION_SEARCH, f"{head} | {expr.relation_hypothesis}")
+            self._bindings[sub.id] = set(self._accum)
+            self._accum = set()
+            self._heads_initialized = False
+            self._qi += 1
+        self._done = True
+        answers = sorted(self._bindings.get(self._plan.sub_questions[-1].id, set()))
+        return render_block(ANSWER, "; ".join(answers))
 
 
 class Recorder(Policy):
@@ -438,6 +503,67 @@ _PARTS = st.one_of(
 _SEGMENTS = st.lists(st.lists(_PARTS, max_size=4).map("".join), max_size=8)
 
 
+_ENTITIES = ("Hub", "Left_Wing", "Right_Wing", "Coin_A", "Coin_B", "Vault")
+_RELATIONS = ("branch_to", "holds", "Guarded_By")
+#: A dense graph with two tails per (head, relation) pair, so that hops fan
+#: out; each case drops a drawn subset of it, so that some hops miss.
+_DENSE = sorted({Triple(h, r, _ENTITIES[(i + k * (j + 1)) % 6])
+                 for i, h in enumerate(_ENTITIES) for j, r in enumerate(_RELATIONS) for k in (1, 2)})
+#: Literal heads: display form, identifier, other case, and an entity the graph lacks.
+_LITERAL_HEADS = st.sampled_from(_ENTITIES).flatmap(
+    lambda e: st.sampled_from([display(e), e, display(e).lower(), "Nowhere"]))
+#: Relation hypotheses: exact, in another case, and missing from the graph.
+_HYPOTHESES = st.sampled_from(_RELATIONS).flatmap(lambda r: st.sampled_from([r, r.upper(), r.lower(), "minted_by"]))
+_GRAPH_WEB = OfflineWebTool([(["hub"], "Hub <b>branches</b> to two wings."), (["coin"], "Coins are held."),
+                             (["vault", "guarded"], "The vault is guarded.")])
+
+
+def _sub_question(earlier):
+    """The right-hand side of one plan line that may refer to the ids in
+    ``earlier``."""
+    literal = st.builds("Ans(thing | {}({}, ?))".format, _HYPOTHESES, _LITERAL_HEADS)
+    if not earlier:
+        return literal
+    ref = st.sampled_from(earlier)
+    refs = st.lists(ref, min_size=2, max_size=3).map(", ".join)
+    return st.one_of(
+        st.builds("Ans(thing | {}({}, ?))".format, _HYPOTHESES, ref),
+        literal,
+        st.builds("inter({})".format, refs),
+        st.builds("union({})".format, refs),
+        st.builds("negation({}; {})".format, ref, refs),
+    )
+
+
+@st.composite
+def _oracle_cases(draw):
+    """A small graph, a question over it with a random plan of 1-5
+    sub-questions and critical triples from the graph, and the graph the
+    oracle runs on: the complete one or an IKG sampled from it."""
+    # Each sub-question refers only to those before it in a drawn order, not
+    # in declaration order: references run forward and backward, never in a
+    # cycle.
+    order = draw(st.permutations([f"S{i}" for i in range(1, draw(st.integers(1, 5)) + 1)]))
+    rhs = {sq_id: draw(_sub_question(order[:pos])) for pos, sq_id in enumerate(order)}
+    dropped = draw(st.sets(st.sampled_from(_DENSE)))
+    triples = [t for t in _DENSE if t not in dropped]
+    plan = "\n".join(f"{sq_id}: {rhs[sq_id]}" for sq_id in sorted(rhs))
+    example = QAExample(
+        id="drawn",
+        question="What does the plan find?",
+        topic_entities=(),
+        answers=tuple(draw(st.lists(st.lists(st.sampled_from(_ENTITIES).map(display), max_size=2).map(tuple),
+                                    max_size=3))),
+        critical_triples=tuple(draw(st.lists(st.sampled_from(triples), max_size=6, unique=True)) if triples else ()),
+        plan=plan,
+    )
+    kg = KnowledgeGraph.from_triples(triples)
+    fraction = draw(st.sampled_from([None, 0.4, 1.0]))
+    if fraction is not None:
+        kg, _ = sample_ikg(kg, [example], fraction, seed=draw(st.integers(0, 3)))
+    return kg, example
+
+
 class TestEquivalence:
     """Parsing each segment once gives what re-parsing everything gave."""
 
@@ -447,6 +573,14 @@ class TestEquivalence:
         cfg = RolloutConfig(max_iterations=max_iterations, strict_format=strict)
         expected = _outcome(_reference_rollout, ScriptedSegments(segments), tk1, tk1_web, tk1_example, cfg)
         assert _outcome(run_rollout, ScriptedSegments(segments), tk1, tk1_web, tk1_example, cfg) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_oracle_cases(), max_iterations=st.integers(1, 12))
+    def test_scripted_oracle_on_random_plans(self, case, max_iterations):
+        kg, example = case
+        cfg = RolloutConfig(max_iterations=max_iterations)
+        expected = _outcome(_reference_rollout, _ReferenceOracle(), kg, _GRAPH_WEB, example, cfg)
+        assert _outcome(run_rollout, ScriptedOracle(), kg, _GRAPH_WEB, example, cfg) == expected
 
     @pytest.mark.parametrize("max_iterations", [3, 10])
     def test_scripted_oracle_on_the_toy_suite(self, toy_kg, toy_qa, toy_web, max_iterations):

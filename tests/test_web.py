@@ -79,6 +79,13 @@ class TestOfflineCorpus:
             OfflineWebTool.from_path(path)
 
 
+    def test_string_keys_are_not_a_list(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"keys": "iran", "snippet": "Iran is a country."}\n')
+        with pytest.raises(WebToolError, match=f"line 1 of {path}: 'keys' must be a list"):
+            OfflineWebTool.from_path(path)
+
+
 class TestRemoteWeb:
     def test_wire_protocol(self, stub_server):
         def serve(body):

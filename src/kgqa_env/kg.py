@@ -2,7 +2,11 @@
 incomplete-graph variants with a per-question removal log.
 
 A :class:`KnowledgeGraph` is immutable after construction and safe to share
-across concurrent rollouts; :func:`sample_ikg` always returns a fresh graph.
+across concurrent rollouts. :func:`sample_ikg` returns a new graph that
+shares every container the removal leaves unchanged with its base: the
+alias map, the resolver, the relation tokens unless a relation vanishes, the
+tail sets of untouched pairs and the relation sets of untouched heads. The
+sharing is safe because neither graph ever mutates them.
 """
 
 from __future__ import annotations
@@ -11,12 +15,13 @@ import functools
 import gc
 import math
 import random
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .jsonio import json_list, read_jsonl, write_jsonl
-from .text import levenshtein, normalize, token_jaccard, word_tokens
+from .text import _STRIP_CHARS, levenshtein, normalize, token_jaccard, word_tokens
 
 if TYPE_CHECKING:  # pragma: no cover
     from .qa import QAExample
@@ -77,16 +82,17 @@ def gc_paused(loader: _F) -> _F:
 
 
 def _build_indices(
-    triples: Iterable[Triple],
+    triples: Iterable[tuple[str, str, str]],
 ) -> tuple[dict[str, frozenset[str]], dict[tuple[str, str], frozenset[str]], frozenset[str]]:
-    """Derive (head index, pair index, relation vocabulary) from a triple set."""
+    """Derive (head index, pair index, relation vocabulary) from triples;
+    duplicates collapse."""
     head_sets: dict[str, set[str]] = {}
     pair_sets: dict[tuple[str, str], set[str]] = {}
     relations: set[str] = set()
-    for t in triples:
-        head_sets.setdefault(t.head, set()).add(t.relation)
-        pair_sets.setdefault((t.head, t.relation), set()).add(t.tail)
-        relations.add(t.relation)
+    for head, relation, tail in triples:
+        head_sets.setdefault(head, set()).add(relation)
+        pair_sets.setdefault((head, relation), set()).add(tail)
+        relations.add(relation)
     head_index = {h: frozenset(rs) for h, rs in head_sets.items()}
     pair_index = {hr: frozenset(ts) for hr, ts in pair_sets.items()}
     return head_index, pair_index, frozenset(relations)
@@ -99,9 +105,10 @@ class KnowledgeGraph:
     ``aliases`` maps every entity (heads and tails alike) to a tuple of
     surface texts whose first element is always the identifier with
     underscores replaced by spaces; extra aliases come from the alias file.
+    The triple set itself is not stored: ``pair_index`` holds it, and
+    :attr:`triples` derives it on first read.
     """
 
-    triples: frozenset[Triple]
     head_index: dict[str, frozenset[str]]
     pair_index: dict[tuple[str, str], frozenset[str]]
     relations: frozenset[str]
@@ -112,12 +119,11 @@ class KnowledgeGraph:
     @classmethod
     def from_triples(
         cls,
-        triples: Iterable[Triple],
+        triples: Iterable[tuple[str, str, str]],
         alias_map: dict[str, Sequence[str]] | None = None,
     ) -> "KnowledgeGraph":
-        tset = frozenset(triples)
-        head_index, pair_index, relations = _build_indices(tset)
-        entities = {t.head for t in tset} | {t.tail for t in tset}
+        head_index, pair_index, relations = _build_indices(triples)
+        entities = set(head_index).union(*pair_index.values())
         if alias_map:
             entities |= set(alias_map)
         aliases: dict[str, tuple[str, ...]] = {}
@@ -133,10 +139,15 @@ class KnowledgeGraph:
                 if key:
                     resolve.setdefault(key, e)
         relation_tokens = {r: frozenset(word_tokens(r)) for r in relations}
-        return cls(tset, head_index, pair_index, relations, aliases, resolve, relation_tokens)
+        return cls(head_index, pair_index, relations, aliases, resolve, relation_tokens)
+
+    @functools.cached_property
+    def triples(self) -> frozenset[Triple]:
+        """Every triple of the graph, built from ``pair_index`` on first read."""
+        return frozenset(Triple(h, r, t) for (h, r), tails in self.pair_index.items() for t in tails)
 
     def __len__(self) -> int:
-        return len(self.triples)
+        return sum(map(len, self.pair_index.values()))
 
     def resolve_entity(self, text: str) -> str | None:
         """Map surface text (identifier or alias, any case/spacing) to an
@@ -191,24 +202,29 @@ def load_triples(path: str | Path, alias_path: str | Path | None = None) -> Know
     Raises :class:`KGError` naming the line number for malformed lines, and
     for files containing no triples at all.
     """
-    path = Path(path)
-    triples: set[Triple] = set()
+    alias_map = load_aliases(alias_path) if alias_path else None
+    kg = KnowledgeGraph.from_triples(_read_tsv(Path(path)), alias_map)
+    if not kg.pair_index:
+        raise KGError(f"empty graph: no triples in {path}")
+    return kg
+
+
+def _read_tsv(path: Path) -> Iterator[tuple[str, str, str]]:
+    """Yield each line's (head, relation, tail), whitespace-trimmed and
+    interned, so an entity's every occurrence shares one string."""
+    intern = sys.intern
     with path.open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
             if not line.strip():
                 continue
             fields = line.split("\t")
             if len(fields) != 3:
                 raise KGError(f"malformed triple at line {lineno}: expected 3 tab-separated columns, got {len(fields)}")
-            head, relation, tail = (f.strip() for f in fields)
-            if not normalize(head) or not normalize(relation):
-                raise KGError(f"malformed triple at line {lineno}: empty head or relation")
-            triples.add(Triple(head, relation, tail))
-    if not triples:
-        raise KGError(f"empty graph: no triples in {path}")
-    alias_map = load_aliases(alias_path) if alias_path else None
-    return KnowledgeGraph.from_triples(triples, alias_map)
+            head, relation, tail = fields[0].strip(), fields[1].strip(), fields[2].strip()
+            # empty after the strip exactly when normalize() gives "", at a fraction of the cost
+            if not (head.strip(_STRIP_CHARS) and relation.strip(_STRIP_CHARS) and tail.strip(_STRIP_CHARS)):
+                raise KGError(f"malformed triple at line {lineno}: empty head, relation or tail")
+            yield intern(head), intern(relation), intern(tail)
 
 
 def load_aliases(path: str | Path) -> dict[str, list[str]]:
@@ -251,11 +267,11 @@ def sample_ikg(
         raise KGError(f"fraction must be in [0, 1], got {fraction}")
     entries: dict[str, list[Triple]] = {}
     coverage: dict[str, str] = {}
-    purged_pairs: set[tuple[str, str]] = set()
+    purged_tails: dict[str, set[str]] = {}  # head -> tails it loses every edge to
     for ex in qa_set:
         crits = sorted(set(ex.critical_triples))
         for t in crits:
-            if t not in kg.triples:
+            if t.tail not in kg.pair_index.get((t.head, t.relation), ()):
                 raise KGError(f"critical triple {tuple(t)} for question {ex.id!r} is not in the graph")
         # round() guards float dust when fraction * n is an exact integer
         n_remove = min(len(crits), math.ceil(round(fraction * len(crits), 9)))
@@ -264,11 +280,53 @@ def sample_ikg(
         entries[ex.id] = chosen
         coverage[ex.id] = COVERAGE_IKG if chosen else COVERAGE_CKG
         for t in chosen:
-            purged_pairs.add((t.head, t.tail))
-            purged_pairs.add((t.tail, t.head))
-    survivors = [t for t in kg.triples if (t.head, t.tail) not in purged_pairs]
-    derived = KnowledgeGraph.from_triples(survivors, {e: list(a[1:]) for e, a in kg.aliases.items()})
-    return derived, RemovalLog(entries, coverage)
+            purged_tails.setdefault(t.head, set()).add(t.tail)
+            purged_tails.setdefault(t.tail, set()).add(t.head)
+    return _without_edges(kg, purged_tails), RemovalLog(entries, coverage)
+
+
+def _without_edges(kg: KnowledgeGraph, purged_tails: dict[str, set[str]]) -> KnowledgeGraph:
+    """``kg`` without any triple from a head to one of its ``purged_tails``.
+
+    Only the purged heads' pairs are rebuilt. Every other container is the
+    base graph's own, and the entity set is the base's (the aliases are),
+    so the result equals ``from_triples`` over the survivors with the base
+    aliases.
+    """
+    head_index = dict(kg.head_index)
+    pair_index = dict(kg.pair_index)
+    vanished: set[str] = set()  # relations that lost a whole pair; pruned below to those no head keeps
+    for head, drop in purged_tails.items():
+        attached = head_index.get(head)
+        if attached is None:
+            continue
+        kept = set(attached)
+        for relation in attached:
+            tails = pair_index[(head, relation)]
+            if tails.isdisjoint(drop):
+                continue
+            left = tails - drop
+            if left:
+                pair_index[(head, relation)] = left
+            else:
+                del pair_index[(head, relation)]
+                kept.remove(relation)
+                vanished.add(relation)
+        if not kept:
+            del head_index[head]
+        elif len(kept) < len(attached):
+            head_index[head] = frozenset(kept)
+    for attached in head_index.values():
+        if not vanished:
+            break
+        if not vanished.isdisjoint(attached):
+            vanished -= attached
+    relations, relation_tokens = kg.relations, kg._relation_tokens
+    if vanished:
+        relations = relations - vanished
+        relation_tokens = {r: tokens for r, tokens in relation_tokens.items() if r not in vanished}
+    return replace(kg, head_index=head_index, pair_index=pair_index,
+                   relations=relations, _relation_tokens=relation_tokens)
 
 
 def write_removal_log(log: RemovalLog, path: str | Path) -> None:
@@ -299,5 +357,6 @@ def read_removal_log(path: str | Path) -> RemovalLog:
 def write_triples(kg: KnowledgeGraph, path: str | Path) -> None:
     """Write the triple set as sorted, deduplicated TSV."""
     with Path(path).open("w", encoding="utf-8") as fh:
-        for t in sorted(kg.triples):
-            fh.write(f"{t.head}\t{t.relation}\t{t.tail}\n")
+        for (head, relation), tails in sorted(kg.pair_index.items()):
+            for tail in sorted(tails):
+                fh.write(f"{head}\t{relation}\t{tail}\n")

@@ -73,10 +73,7 @@ def _script(example: QAExample) -> Generator[str, str, None]:
     the web as on the sentinel and bind the gold tails.
     """
     plan = parse_plan(example.plan)
-    # Gold-path knowledge for web fallbacks: (head surface, relation) -> tails.
-    gold: dict[tuple[str, str], set[str]] = {}
-    for h, r, t in example.critical_triples:
-        gold.setdefault((normalize(display(h)), r), set()).add(normalize(display(t)))
+    gold: dict[tuple[str, str], set[str]] | None = None  # built at the first web fallback
     bindings: dict[str, set[str]] = {}
     yield ""  # primed: reset() returns here
     yield (render_block(THINK, "Decompose the question and schedule retrieval.")
@@ -99,11 +96,21 @@ def _script(example: QAExample) -> Generator[str, str, None]:
             found = _last_block(conversation, NEIGHBOR_INFORMATION)
             if is_sentinel(found):
                 yield render_block(WEB_SEARCH, f"{head} | {relation}")
+                if gold is None:
+                    gold = _gold_tails(example)
                 tails |= gold.get((normalize(head), relation), set())
             else:
                 tails |= {normalize(part) for part in found.split(";") if normalize(part)}
         bindings[sq_id] = tails
     yield render_block(ANSWER, "; ".join(sorted(bindings[plan.sub_questions[-1].id])))
+
+
+def _gold_tails(example: QAExample) -> dict[tuple[str, str], set[str]]:
+    """Gold-path knowledge for web fallbacks: (head surface, relation) -> tails."""
+    gold: dict[tuple[str, str], set[str]] = {}
+    for h, r, t in example.critical_triples:
+        gold.setdefault((normalize(display(h)), r), set()).add(normalize(display(t)))
+    return gold
 
 
 def _last_block(conversation: str, tag: str) -> str:

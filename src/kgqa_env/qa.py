@@ -32,18 +32,21 @@ class QAExample:
 def load_qa(path: str | Path) -> list[QAExample]:
     """Load a JSON-lines QA file. Each line carries
     {"id", "question", "topic_entities", "answers", "critical_triples"}
-    plus an optional "plan"."""
+    plus an optional "plan" (text or null)."""
     seen: set[str] = set()
 
     def example(rec: dict) -> QAExample:
         triples = json_list(rec.get("critical_triples", []), "critical_triples")
+        plan = rec.get("plan")
+        if plan is not None and not isinstance(plan, str):
+            raise ValueError(f"'plan' must be text or null, got {plan!r}")
         ex = QAExample(
             id=str(rec["id"]),
             question=str(rec["question"]),
             topic_entities=tuple(str(e) for e in json_list(rec["topic_entities"], "topic_entities")),
             answers=tuple(tuple(str(a) for a in json_list(s, "answers")) for s in json_list(rec["answers"], "answers")),
             critical_triples=tuple(Triple(*(str(x) for x in json_list(t, "critical_triples"))) for t in triples),
-            plan=rec.get("plan"),
+            plan=plan,
         )
         if ex.id in seen:
             raise ValueError(f"duplicate question id {ex.id!r}")

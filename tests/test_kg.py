@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kgqa_env import kg as kgqa_kg
 from kgqa_env import web as kgqa_web
 from kgqa_env.kg import (
     SENTINEL,
@@ -20,6 +21,7 @@ from kgqa_env.kg import (
     read_removal_log,
     sample_ikg,
     write_removal_log,
+    write_triples,
 )
 from kgqa_env.qa import QAExample
 from kgqa_env.web import OfflineWebTool
@@ -52,6 +54,31 @@ class TestLoad:
         p.write_text("a\tr\tb\na\tr\n")
         with pytest.raises(KGError, match="line 2"):
             load_triples(p)
+
+    @pytest.mark.parametrize("line", ["a\tr\t", "a\tr\t .", "\tr\tb", "a\t;\tb"])
+    def test_empty_field_names_line(self, tmp_path, line):
+        p = tmp_path / "bad.tsv"
+        p.write_text(f"a\tr\tb\n{line}\n")
+        with pytest.raises(KGError, match="line 2: empty head, relation or tail"):
+            load_triples(p)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        p = tmp_path / "blank.tsv"
+        p.write_text("\n  \na\tr\tb\n\t\t\n")
+        assert load_triples(p).triples == {Triple("a", "r", "b")}
+
+    def test_triples_are_derived_and_read_only(self, tk1):
+        assert tk1.triples == {Triple(h, r, t) for (h, r), ts in tk1.pair_index.items() for t in ts}
+        assert tk1.triples is tk1.triples
+        with pytest.raises(AttributeError):
+            tk1.triples = frozenset()
+
+    def test_write_triples_round_trips_sorted(self, toy_kg, tmp_path):
+        p = tmp_path / "out.tsv"
+        write_triples(toy_kg, p)
+        lines = p.read_text().splitlines()
+        assert lines == sorted(lines) and len(lines) == len(toy_kg)
+        assert load_triples(p).triples == toy_kg.triples
 
     def test_empty_file_is_an_error(self, tmp_path):
         p = tmp_path / "empty.tsv"
@@ -296,26 +323,96 @@ class TestSampleIkg:
         assert back.coverage == log.coverage
 
 
+_FIELDS = ("head_index", "pair_index", "relations", "aliases", "_resolve", "_relation_tokens", "triples")
+
+
+def _assert_matches_rebuild(kg, questions, fraction, seed):
+    """``sample_ikg``'s graph equals ``from_triples`` over the survivors of
+    the logged removals, with the base graph's aliases, field by field."""
+    derived, log = sample_ikg(kg, questions, fraction, seed)
+    purged = {pair for removed in log.entries.values() for t in removed
+              for pair in ((t.head, t.tail), (t.tail, t.head))}
+    survivors = [t for t in kg.triples if (t.head, t.tail) not in purged]
+    rebuilt = KnowledgeGraph.from_triples(survivors, {e: list(a[1:]) for e, a in kg.aliases.items()})
+    for field in _FIELDS:
+        assert getattr(derived, field) == getattr(rebuilt, field), field
+    assert len(derived) == len(rebuilt) == len(survivors)
+    return derived
+
+
+_ENTITY = st.sampled_from([f"e{i}" for i in range(6)])
+_TRIPLE = st.builds(Triple, _ENTITY, st.sampled_from(["r0", "r1", "r2.of", "r_3"]), _ENTITY)
+
+
+class TestIncrementalIkg:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        triples=st.lists(_TRIPLE, min_size=1, max_size=30),
+        extra=st.dictionaries(st.sampled_from(["e0", "e9", "x y"]), st.lists(st.sampled_from(["Alias", "e 0"]), max_size=2)),
+        fraction=st.floats(0.0, 1.0),
+        seed=st.integers(0, 3),
+    )
+    def test_equals_full_rebuild(self, data, triples, extra, fraction, seed):
+        kg = KnowledgeGraph.from_triples(triples, extra)
+        pool = sorted(kg.triples)
+        questions = [
+            _example(f"q{i}", data.draw(st.lists(st.sampled_from(pool), max_size=6)))
+            for i in range(data.draw(st.integers(1, 3)))
+        ]
+        _assert_matches_rebuild(kg, questions, fraction, seed)
+
+    def test_reverse_co_pair_casualty(self):
+        kg = KnowledgeGraph.from_triples([("a", "r", "b"), ("b", "s", "a"), ("b", "s", "c"), ("a", "t", "c")])
+        derived = _assert_matches_rebuild(kg, [_example("q", [("a", "r", "b")])], 1.0, 0)
+        assert derived.pair_index[("b", "s")] == {"c"}
+        assert ("a", "r") not in derived.pair_index
+
+    def test_forward_co_pair_casualty(self):
+        kg = KnowledgeGraph.from_triples([("a", "r", "b"), ("a", "s", "b"), ("a", "s", "c")])
+        derived = _assert_matches_rebuild(kg, [_example("q", [("a", "r", "b")])], 1.0, 0)
+        assert derived.head_index["a"] == {"s"}
+
+    def test_vanished_relation_and_emptied_head(self):
+        kg = KnowledgeGraph.from_triples([("a", "only_here", "b"), ("c", "r", "d")])
+        derived = _assert_matches_rebuild(kg, [_example("q", [("a", "only_here", "b")])], 1.0, 0)
+        assert "only_here" not in derived.relations and "only_here" not in derived._relation_tokens
+        assert "a" not in derived.head_index
+        assert derived.resolve_entity("a") == "a"  # the entity set is unchanged
+
+    def test_untouched_containers_are_shared(self, toy_kg, toy_qa):
+        derived, _ = sample_ikg(toy_kg, toy_qa, 0.4, seed=0)
+        assert derived.aliases is toy_kg.aliases and derived._resolve is toy_kg._resolve
+
+
 class TestGcPause:
     """The bulk loaders run with the cyclic collector paused and hand the
     caller's collector state back however they end."""
 
     @pytest.fixture
     def seen(self, monkeypatch):
-        """Collector state observed inside each loader, via the builders they call."""
+        """Collector state observed inside each loader, via the builders they
+        call: ``from_triples`` for ``load_triples``, ``_without_edges`` for
+        ``sample_ikg`` and ``read_jsonl`` for ``OfflineWebTool.from_path``."""
         states = []
         from_triples = KnowledgeGraph.from_triples.__func__
+        without_edges = kgqa_kg._without_edges
         read_jsonl = kgqa_web.read_jsonl
 
         def spy_graph(cls, *args, **kwargs):
             states.append(gc.isenabled())
             return from_triples(cls, *args, **kwargs)
 
+        def spy_derived(*args, **kwargs):
+            states.append(gc.isenabled())
+            return without_edges(*args, **kwargs)
+
         def spy_corpus(*args, **kwargs):
             states.append(gc.isenabled())
             return read_jsonl(*args, **kwargs)
 
         monkeypatch.setattr(KnowledgeGraph, "from_triples", classmethod(spy_graph))
+        monkeypatch.setattr(kgqa_kg, "_without_edges", spy_derived)
         monkeypatch.setattr(kgqa_web, "read_jsonl", spy_corpus)
         return states
 

@@ -26,6 +26,20 @@ def test_plan_field_is_optional(tmp_path):
     assert ex.critical_triples == ()
 
 
+@pytest.mark.parametrize("plan", ["5", "[\"S1\"]", "{}"])
+def test_plan_must_be_text_or_null(tmp_path, plan):
+    path = tmp_path / "qa.jsonl"
+    path.write_text('{"id": "q", "question": "?", "topic_entities": [], "answers": [["a"]], "plan": ' + plan + "}\n")
+    with pytest.raises(QAError, match=f"line 1 of {path}: 'plan' must be text or null"):
+        load_qa(path)
+
+
+def test_null_plan_loads_as_none(tmp_path):
+    path = tmp_path / "qa.jsonl"
+    path.write_text('{"id": "q", "question": "?", "topic_entities": [], "answers": [["a"]], "plan": null}\n')
+    assert load_qa(path)[0].plan is None
+
+
 def test_malformed_record_names_line(tmp_path):
     path = tmp_path / "qa.jsonl"
     path.write_text('{"id": "q1", "question": "?", "topic_entities": [], "answers": [["a"]]}\n{"id": "q2"}\n')

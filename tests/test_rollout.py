@@ -127,6 +127,16 @@ class TestOracleRollout:
         assert answer_items(traj) == ["iran"]
         assert validate_format(traj).valid
 
+    def test_gold_map_is_built_at_the_first_web_fallback(self, tk1, tk1_example, tk1_web, monkeypatch):
+        built = []
+        gold_tails = policies._gold_tails
+        monkeypatch.setattr(policies, "_gold_tails", lambda ex: built.append(ex.id) or gold_tails(ex))
+        run_rollout(ScriptedOracle(), tk1, tk1_web, tk1_example)
+        assert built == []
+        ikg, _ = sample_ikg(tk1, [tk1_example], 1.0, seed=1)
+        run_rollout(ScriptedOracle(), ikg, tk1_web, tk1_example)
+        assert built == [tk1_example.id]
+
     def test_ikg_falls_back_to_web(self, tk1, tk1_example, tk1_web):
         ikg, _ = sample_ikg(tk1, [tk1_example], 1.0, seed=1)
         traj = run_rollout(ScriptedOracle(), ikg, tk1_web, tk1_example)

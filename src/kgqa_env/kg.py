@@ -4,9 +4,9 @@ incomplete-graph variants with a per-question removal log.
 A :class:`KnowledgeGraph` is immutable after construction and safe to share
 across concurrent rollouts. :func:`sample_ikg` returns a new graph that
 shares every container the removal leaves unchanged with its base: the
-alias map, the resolver, the relation tokens unless a relation vanishes, the
-tail sets of untouched pairs and the relation sets of untouched heads. The
-sharing is safe because neither graph ever mutates them.
+alias map, the resolver, the relation tokens and the token index unless a
+relation vanishes, the tail sets of untouched pairs and the relation sets of
+untouched heads. The sharing is safe because neither graph ever mutates them.
 """
 
 from __future__ import annotations
@@ -115,6 +115,7 @@ class KnowledgeGraph:
     aliases: dict[str, tuple[str, ...]]
     _resolve: dict[str, str]
     _relation_tokens: dict[str, frozenset[str]]
+    _token_relations: dict[str, frozenset[str]]
 
     @classmethod
     def from_triples(
@@ -139,7 +140,12 @@ class KnowledgeGraph:
                 if key:
                     resolve.setdefault(key, e)
         relation_tokens = {r: frozenset(word_tokens(r)) for r in relations}
-        return cls(head_index, pair_index, relations, aliases, resolve, relation_tokens)
+        token_sets: dict[str, set[str]] = {}
+        for relation, tokens in relation_tokens.items():
+            for token in tokens:
+                token_sets.setdefault(token, set()).add(relation)
+        token_relations = {t: frozenset(rs) for t, rs in token_sets.items()}
+        return cls(head_index, pair_index, relations, aliases, resolve, relation_tokens, token_relations)
 
     @functools.cached_property
     def triples(self) -> frozenset[Triple]:
@@ -169,6 +175,12 @@ class KnowledgeGraph:
         The edit distance is computed only for relations whose Jaccard is at
         least the ``k``-th best. The cut is exact: every relation below it
         has ``k`` relations with a strictly higher Jaccard ahead of it.
+
+        When more than ``k`` relations are attached, the token index finds
+        those that share a word with the hypothesis, and if there are at
+        least ``k`` of them only they are scored. That is exact too: each
+        has a Jaccard above 0, so the ``k``-th best does, and every relation
+        sharing no word (Jaccard 0) already falls below the cut.
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
@@ -176,7 +188,16 @@ class KnowledgeGraph:
         if not attached:
             return []
         hyp_tokens = set(word_tokens(hypothesis))
-        by_jaccard = sorted((-token_jaccard(hyp_tokens, self._relation_tokens[rel]), rel) for rel in attached)
+        candidates = attached
+        if len(attached) > k:
+            sharing: set[str] = set()
+            for token in hyp_tokens:
+                holding = self._token_relations.get(token)
+                if holding:
+                    sharing |= attached & holding
+            if len(sharing) >= k:
+                candidates = sharing
+        by_jaccard = sorted((-token_jaccard(hyp_tokens, self._relation_tokens[rel]), rel) for rel in candidates)
         if len(by_jaccard) > k:
             cut = by_jaccard[k - 1][0]
             by_jaccard = [pair for pair in by_jaccard if pair[0] <= cut]
@@ -228,10 +249,18 @@ def _read_tsv(path: Path) -> Iterator[tuple[str, str, str]]:
 
 
 def load_aliases(path: str | Path) -> dict[str, list[str]]:
-    """Load a JSON-lines alias file ({"entity": id, "aliases": [text, ...]})."""
+    """Load a JSON-lines alias file ({"entity": id, "aliases": [text, ...]}).
+
+    Entity ids are whitespace-trimmed, and one that is then blank or
+    punctuation only is rejected, as in the triple file, with a
+    :class:`KGError` naming the file and line.
+    """
     alias_map: dict[str, list[str]] = {}
     def record(rec: dict) -> tuple[str, list[str]]:
-        return str(rec["entity"]), [str(n) for n in json_list(rec["aliases"], "aliases")]
+        entity = str(rec["entity"]).strip()
+        if not entity.strip(_STRIP_CHARS):
+            raise ValueError(f"empty entity {entity!r}")
+        return entity, [str(n) for n in json_list(rec["aliases"], "aliases")]
 
     for entity, names in read_jsonl(path, KGError, "alias record", record):
         alias_map.setdefault(entity, []).extend(names)
@@ -321,12 +350,19 @@ def _without_edges(kg: KnowledgeGraph, purged_tails: dict[str, set[str]]) -> Kno
             break
         if not vanished.isdisjoint(attached):
             vanished -= attached
-    relations, relation_tokens = kg.relations, kg._relation_tokens
+    relations, relation_tokens, token_relations = kg.relations, kg._relation_tokens, kg._token_relations
     if vanished:
         relations = relations - vanished
         relation_tokens = {r: tokens for r, tokens in relation_tokens.items() if r not in vanished}
-    return replace(kg, head_index=head_index, pair_index=pair_index,
-                   relations=relations, _relation_tokens=relation_tokens)
+        token_relations = dict(token_relations)
+        for token in {t for r in vanished for t in kg._relation_tokens[r]}:
+            left = token_relations[token] - vanished
+            if left:
+                token_relations[token] = left
+            else:
+                del token_relations[token]
+    return replace(kg, head_index=head_index, pair_index=pair_index, relations=relations,
+                   _relation_tokens=relation_tokens, _token_relations=token_relations)
 
 
 def write_removal_log(log: RemovalLog, path: str | Path) -> None:

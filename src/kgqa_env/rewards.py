@@ -159,8 +159,18 @@ def score_record(question_id: str, breakdown: RewardBreakdown, coverage: str) ->
 
 
 def read_scores(path: str | Path) -> list[dict]:
-    """Read a JSON-lines score file as written by ``score``."""
-    return list(read_jsonl(path, ValueError, "score record"))
+    """Read a JSON-lines score file as written by ``score``. Each record
+    needs a text ``id`` and a numeric ``R_over``; anything else is a
+    ``ValueError`` naming the file and line."""
+    def record(rec: dict) -> dict:
+        qid, r_over = rec["id"], rec["R_over"]
+        if not isinstance(qid, str):
+            raise ValueError(f"'id' must be text, got {qid!r}")
+        if isinstance(r_over, bool) or not isinstance(r_over, (int, float)):
+            raise ValueError(f"'R_over' must be a number, got {r_over!r}")
+        return rec
+
+    return list(read_jsonl(path, ValueError, "score record", record))
 
 
 def group_score_records(records: Sequence[dict], group_size: int = DEFAULT_GROUP_SIZE) -> list[dict]:

@@ -6,7 +6,7 @@ graph or web tool, injects the matching information block, and terminates on
 an answer block, or on a second plan block or when the tool-call budget runs
 out, at which point the policy is directed to answer from its own knowledge.
 A rollout therefore asks the policy for at most ``max_iterations + 3``
-segments (for ``max_iterations >= 1``), whatever it emits.
+segments, whatever it emits.
 
 Each segment is parsed once, on its own, so a step costs the same however
 long the trajectory has grown. This is exact: the text assembled so far is
@@ -101,10 +101,18 @@ class Policy(ABC):
 
 @dataclass
 class RolloutConfig:
+    """Rollout knobs; the tool-call budget and both result counts must be
+    at least 1, else ``ValueError``."""
+
     max_iterations: int = 10
     top_k_relations: int = 15
     top_k_docs: int = 3
     strict_format: bool = False
+
+    def __post_init__(self) -> None:
+        for name in ("max_iterations", "top_k_relations", "top_k_docs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 def build_prompt(example: QAExample) -> str:

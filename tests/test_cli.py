@@ -163,6 +163,35 @@ class TestRolloutFlags:
         assert "no sub-questions" in stderr
 
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--max-iters", "0", "max_iterations"),
+        ("--max-iters", "-2", "max_iterations"),
+        ("--top-k-relations", "0", "top_k_relations"),
+        ("--top-k-docs", "-1", "top_k_docs"),
+    ])
+    def test_counts_below_one_are_reported(self, capsys, tmp_path, flag, value, field):
+        out = tmp_path / "t.jsonl"
+        rc, _, stderr = run(capsys, "rollout", "--kg", str(TOY_KG), "--qa", str(TOY_QA), "--web", "offline",
+                            "--web-corpus", str(TOY_WEB_CORPUS), flag, value, "--out", str(out))
+        assert rc == 1
+        assert f"error: {field} must be >= 1, got {value}" in stderr
+        assert not out.exists()
+
+
+class TestAdvantagesFlags:
+    @pytest.mark.parametrize("record, complaint", [
+        ('{"id": "q1"}', "'R_over'"),
+        ('{"id": "q1", "R_over": "abc"}', "'R_over' must be a number"),
+        ('{"id": 7, "R_over": 1.0}', "'id' must be text"),
+    ])
+    def test_malformed_score_record_is_reported(self, capsys, tmp_path, record, complaint):
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text('{"id": "q1", "R_over": 1.0}\n' + record + "\n")
+        rc, _, stderr = run(capsys, "advantages", "--scores", str(scores), "--out", str(tmp_path / "adv.jsonl"))
+        assert rc == 1
+        assert f"malformed score record at line 2 of {scores}: {complaint}" in stderr
+
+
 class TestFilterFlags:
     def test_remote_judge_requires_url(self, capsys, tmp_path):
         rc, _, stderr = run(capsys, "filter-sft", "--traj", "t", "--qa", "q", "--ikg-log", "l",

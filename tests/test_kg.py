@@ -109,6 +109,22 @@ class TestLoad:
         aliases.write_text('{"entity": 5, "aliases": ["five"]}\n')
         assert load_aliases(aliases) == {"5": ["five"]}
 
+    @pytest.mark.parametrize("entity", [" ", "", " .;"])
+    def test_blank_alias_entity_names_file_and_line(self, tmp_path, entity):
+        aliases = tmp_path / "aliases.jsonl"
+        aliases.write_text(f'{{"entity": "a", "aliases": ["A"]}}\n{{"entity": "{entity}", "aliases": ["Persia"]}}\n')
+        with pytest.raises(KGError, match=f"line 2 of {aliases}: empty entity"):
+            load_aliases(aliases)
+
+    def test_alias_entity_is_trimmed_like_a_triple_field(self, tmp_path):
+        aliases = tmp_path / "aliases.jsonl"
+        aliases.write_text('{"entity": " Iran\\t", "aliases": ["Persia"]}\n')
+        triples = tmp_path / "kg.tsv"
+        triples.write_text("Iran \tcurrency\tRial\n")
+        kg = load_triples(triples, aliases)
+        assert kg.resolve_entity("Persia") == kg.resolve_entity("Iran") == "Iran"
+        assert kg.neighbor_search("Iran", "currency") == {"Rial"}
+
     def test_string_removed_triple_is_not_a_list(self, tmp_path):
         log = tmp_path / "log.jsonl"
         log.write_text('{"id": "q", "removed": ["abc"], "coverage": "IKG"}\n')
@@ -130,6 +146,33 @@ class TestLoad:
 
 
 _HUB_WORDS = ["place", "of", "birth", "film", "country", "people", "person"]
+
+
+_HYP_WORDS = ["place", "of", "birth"]
+_OTHER_WORDS = ["film", "country", "people"]
+_TOKENLESS = ["ßß", "ß_ß", "ß.ß", "__", "._."]
+
+
+def _joined(words):
+    return st.tuples(st.sampled_from("_."), st.lists(words, min_size=1, max_size=3)).map(lambda p: p[0].join(p[1]))
+
+
+@st.composite
+def _hubs_around_k(draw):
+    """A hub whose count of relations sharing a word with the hypothesis
+    is drawn around ``k`` (fewer, exactly ``k`` or more), next to relations
+    sharing none, some of them with no word token at all."""
+    k = draw(st.integers(1, 8))
+    hyp_words = draw(st.lists(st.sampled_from(_HYP_WORDS), min_size=1, max_size=3, unique=True))
+    unused = [w for w in _HYP_WORDS if w not in hyp_words] + _OTHER_WORDS
+    n_sharing = max(0, k + draw(st.integers(-3, 3)))
+    sharing = draw(st.lists(_joined(st.sampled_from(_HYP_WORDS + _OTHER_WORDS))
+                            .filter(lambda r: any(w in r.replace(".", "_").split("_") for w in hyp_words)),
+                            min_size=n_sharing, max_size=n_sharing, unique=True))
+    others = draw(st.lists(st.one_of(st.sampled_from(_TOKENLESS), _joined(st.sampled_from(unused))),
+                           min_size=1, max_size=10, unique=True))
+    hyp = draw(st.one_of(st.just(" ".join(hyp_words)), st.sampled_from(["", "?!", "__", " . "])))
+    return sorted(set(sharing) | set(others)), hyp, k
 
 
 class TestRelationSearch:
@@ -185,6 +228,22 @@ class TestRelationSearch:
         expected = _rank_oracle(kg, "hub", hyp)
         for k in (1, 15, n_rels + 1):
             assert kg.relation_search("hub", hyp, k=k) == expected[:k]
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_hubs_around_k())
+    def test_ranking_matches_brute_force_around_k_sharing(self, case):
+        # The token index narrows scoring to word-sharing relations only
+        # when at least k of them exist; either side of that line, and on
+        # it, the ranking is the exhaustive one.
+        rels, hyp, k = case
+        kg = KnowledgeGraph.from_triples(Triple("hub", r, f"t{i}") for i, r in enumerate(rels))
+        assert kg.relation_search("hub", hyp, k=k) == _rank_oracle(kg, "hub", hyp)[:k]
+
+    def test_fewer_than_k_sharing_still_fills_k(self):
+        kg = KnowledgeGraph.from_triples(Triple("hub", r, "t") for r in ["place_of_birth", "film", "ßß", "country"])
+        got = kg.relation_search("hub", "place", k=3)
+        assert got[0] == "place_of_birth" and len(got) == 3
+        assert got == _rank_oracle(kg, "hub", "place")[:3]
 
 
 def _edit_distance_oracle(a, b):
@@ -323,7 +382,8 @@ class TestSampleIkg:
         assert back.coverage == log.coverage
 
 
-_FIELDS = ("head_index", "pair_index", "relations", "aliases", "_resolve", "_relation_tokens", "triples")
+_FIELDS = ("head_index", "pair_index", "relations", "aliases", "_resolve", "_relation_tokens", "_token_relations",
+           "triples")
 
 
 def _assert_matches_rebuild(kg, questions, fraction, seed):
@@ -341,7 +401,7 @@ def _assert_matches_rebuild(kg, questions, fraction, seed):
 
 
 _ENTITY = st.sampled_from([f"e{i}" for i in range(6)])
-_TRIPLE = st.builds(Triple, _ENTITY, st.sampled_from(["r0", "r1", "r2.of", "r_3"]), _ENTITY)
+_TRIPLE = st.builds(Triple, _ENTITY, st.sampled_from(["r0", "r1", "r2.of", "r_3", "r0.of"]), _ENTITY)
 
 
 class TestIncrementalIkg:
@@ -379,6 +439,18 @@ class TestIncrementalIkg:
         assert "only_here" not in derived.relations and "only_here" not in derived._relation_tokens
         assert "a" not in derived.head_index
         assert derived.resolve_entity("a") == "a"  # the entity set is unchanged
+
+    def test_vanished_relation_leaves_the_token_index(self):
+        kg = KnowledgeGraph.from_triples([("a", "only_here", "b"), ("c", "here_too", "d")])
+        derived = _assert_matches_rebuild(kg, [_example("q", [("a", "only_here", "b")])], 1.0, 0)
+        assert derived._token_relations == {"here": {"here_too"}, "too": {"here_too"}}
+        assert kg._token_relations["here"] == {"only_here", "here_too"}  # the base keeps its own
+        assert derived.relation_search("c", "only here") == ["here_too"]
+
+    def test_token_index_is_shared_while_no_relation_vanishes(self):
+        kg = KnowledgeGraph.from_triples([("a", "r", "b"), ("c", "r", "d")])
+        derived = _assert_matches_rebuild(kg, [_example("q", [("a", "r", "b")])], 1.0, 0)
+        assert derived._token_relations is kg._token_relations
 
     def test_untouched_containers_are_shared(self, toy_kg, toy_qa):
         derived, _ = sample_ikg(toy_kg, toy_qa, 0.4, seed=0)

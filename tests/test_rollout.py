@@ -71,6 +71,18 @@ class ScriptedSegments(Policy):
         return seg
 
 
+class TestRolloutConfig:
+    @pytest.mark.parametrize("field", ["max_iterations", "top_k_relations", "top_k_docs"])
+    @pytest.mark.parametrize("value", [0, -1, -2])
+    def test_counts_below_one_are_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1, got {value}"):
+            RolloutConfig(**{field: value})
+
+    def test_one_is_the_smallest_count(self):
+        cfg = RolloutConfig(max_iterations=1, top_k_relations=1, top_k_docs=1)
+        assert (cfg.max_iterations, cfg.top_k_relations, cfg.top_k_docs) == (1, 1, 1)
+
+
 class TestDispatch:
     def test_neighbor_lookup_uses_alias_resolution(self, tk1):
         step = Step("neighbor_search", "Iranian rial | currency_of")

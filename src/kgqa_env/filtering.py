@@ -16,11 +16,13 @@ from .jsonio import post_json
 from .kg import COVERAGE_CKG, COVERAGE_IKG, display
 from .plan import Ans, PlanError, expr_dependencies, parse_plan
 from .qa import QAExample
-from .rewards import answer_f1, graph_reward, web_reward
+from .rewards import _concat_info, _covers, _f1, _gold_sets
 from .rollout import build_prompt
 from .text import normalize
 from .trajectory import (
+    NEIGHBOR_INFORMATION,
     PLAN,
+    WEB_INFORMATION,
     WEB_SEARCH,
     Trajectory,
     answer_items,
@@ -132,20 +134,21 @@ def filter_trajectory(
     if coverage not in (COVERAGE_CKG, COVERAGE_IKG):
         raise ValueError(f"coverage label must be {COVERAGE_CKG!r} or {COVERAGE_IKG!r}, got {coverage!r}")
     failed: list[str] = []
+    gold_sets = _gold_sets(example.answers)
     if not validate_format(traj).valid:
         failed.append(FORMAT)
-    if answer_f1(set(answer_items(traj)), example.answers) < answer_threshold:
+    if _f1(set(answer_items(traj)), gold_sets) < answer_threshold:
         failed.append(ANSWER_CHECK)
     has_web = bool(traj.blocks(WEB_SEARCH))
     if coverage == COVERAGE_CKG:
         if has_web:
             failed.append(RETRIEVAL_CKG_WEB_PRESENT)
-        if graph_reward(traj, example.answers) == 0:
+        if _covers(_concat_info(traj, NEIGHBOR_INFORMATION), gold_sets) == 0:
             failed.append(RETRIEVAL_CKG_GRAPH_MISS)
     else:
         if not has_web:
             failed.append(RETRIEVAL_IKG_WEB_ABSENT)
-        elif web_reward(traj, example.answers) == 0:
+        elif _covers(_concat_info(traj, WEB_INFORMATION), gold_sets) == 0:
             failed.append(RETRIEVAL_IKG_WEB_MISS)
     plans = traj.blocks(PLAN)
     if not plans or judge_plan(example, plans[0].content, judge) == 0:

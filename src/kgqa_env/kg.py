@@ -67,13 +67,25 @@ def gc_paused(loader: _F) -> _F:
     None of it is garbage, so those passes only cost time (seconds on a
     graph of 10^5 triples). The caller's collector state is restored on
     return and on error; a caller that had paused it keeps it paused.
+
+    After a load that succeeds with the collector running before it, every
+    tracked object (the load's, and whatever the caller's young generations
+    held) moves straight into the oldest generation, where the young
+    collections never look. Re-enabled as it was, the collector would walk
+    each loaded container twice on its way there, in whatever ran next: on
+    a graph of 10^5 triples about 0.2 s in the first allocation after the
+    load and 0.4 s more in a later rollout.
     """
     @functools.wraps(loader)
     def paused(*args, **kwargs):
         was_enabled = gc.isenabled()
         gc.disable()
         try:
-            return loader(*args, **kwargs)
+            loaded = loader(*args, **kwargs)
+            if was_enabled:
+                gc.freeze()  # every tracked object to the permanent generation,
+                gc.unfreeze()  # and from there into the oldest one
+            return loaded
         finally:
             if was_enabled:
                 gc.enable()

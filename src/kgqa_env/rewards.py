@@ -6,6 +6,13 @@ the concatenated graph and web information blocks, and an overall reward
 that penalizes web search when the graph was complete, or its absence when
 the graph was not. All operations are pure; batches can be scored in
 parallel without coordination.
+
+Cost: one call normalizes each gold alias once, and each information text
+(the joined graph blocks, the joined web blocks) once, so scoring is linear
+in the trajectory's length plus its number of gold aliases, apart from the
+substring search of each alias in its text. The F1 check and the coverage
+checks of one call share the normalized aliases (``_gold_sets``); nothing is
+cached across calls.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from typing import Sequence, Set
 
 from .jsonio import read_jsonl
 from .kg import COVERAGE_CKG, COVERAGE_IKG
-from .text import contains_normalized, normalize
+from .text import normalize
 from .trajectory import (
     NEIGHBOR_INFORMATION,
     WEB_INFORMATION,
@@ -45,55 +52,67 @@ class RewardBreakdown:
     o_web: str
 
 
+def _gold_sets(gold: Sequence[Sequence[str]]) -> list[set[str]]:
+    """Each gold answer's normalized, non-empty aliases. A call that runs
+    several checks builds these once and hands them to each."""
+    return [{normalize(a) for a in aliases} - {""} for aliases in gold]
+
+
+def _f1(pred_norm: Set[str], gold_sets: list[set[str]]) -> float:
+    """F1 of normalized, non-empty predictions (``answer_items`` gives
+    them so) against ``_gold_sets``."""
+    if not pred_norm or not gold_sets:
+        return 0.0
+    matched_preds = len(pred_norm & set().union(*gold_sets))
+    matched_golds = sum(1 for aliases in gold_sets if not aliases.isdisjoint(pred_norm))
+    precision = matched_preds / len(pred_norm)
+    recall = matched_golds / len(gold_sets)
+    if precision + recall == 0:
+        return 0.0
+    return 2 * precision * recall / (precision + recall)
+
+
+def _covers(text: str, gold_sets: list[set[str]]) -> int:
+    """1 iff every gold answer has an alias inside the normalized text."""
+    if not gold_sets or not text:
+        return 0
+    haystack = normalize(text)
+    return int(all(any(alias in haystack for alias in aliases) for aliases in gold_sets))
+
+
 def answer_f1(pred: Set[str], gold: Sequence[Sequence[str]]) -> float:
     """Set F1 between predictions and gold answers, where a prediction
     matches a gold answer when it equals any of its aliases after
     normalization. Empty predictions or empty gold score 0."""
-    if not pred or not gold:
-        return 0.0
-    pred_norm = {normalize(p) for p in pred} - {""}
-    if not pred_norm:
-        return 0.0
-    gold_norm = [{normalize(a) for a in aliases} - {""} for aliases in gold]
-    matched_preds = sum(1 for p in pred_norm if any(p in aliases for aliases in gold_norm))
-    matched_golds = sum(1 for aliases in gold_norm if aliases & pred_norm)
-    precision = matched_preds / len(pred_norm)
-    recall = matched_golds / len(gold_norm)
-    if precision + recall == 0:
-        return 0.0
-    return 2 * precision * recall / (precision + recall)
+    return _f1({normalize(p) for p in pred} - {""}, _gold_sets(gold))
+
+
+def _accuracy(traj: Trajectory, gold_sets: list[set[str]]) -> tuple[bool, float, float]:
+    format_ok = validate_format(traj).valid
+    r_ans = _f1(set(answer_items(traj)), gold_sets)
+    return format_ok, r_ans, (max(0.1, r_ans) if format_ok else 0.0)
 
 
 def accuracy_reward(traj: Trajectory, gold: Sequence[Sequence[str]]) -> tuple[bool, float, float]:
     """(format_ok, r_ans, accuracy reward). A malformed trajectory scores 0;
     a well-formed one scores max(0.1, r_ans), so honest format compliance is
     never worth less than 0.1."""
-    format_ok = validate_format(traj).valid
-    r_ans = answer_f1(set(answer_items(traj)), gold)
-    r_acc = max(0.1, r_ans) if format_ok else 0.0
-    return format_ok, r_ans, r_acc
+    return _accuracy(traj, _gold_sets(gold))
 
 
 def _concat_info(traj: Trajectory, tag: str) -> str:
     return "\n".join(s.content for s in traj.steps if s.tag == tag)
 
 
-def _covers_all_gold(text: str, gold: Sequence[Sequence[str]]) -> int:
-    if not gold or not text:
-        return 0
-    ok = all(any(contains_normalized(text, alias) for alias in aliases) for aliases in gold)
-    return 1 if ok else 0
-
-
 def graph_reward(traj: Trajectory, gold: Sequence[Sequence[str]]) -> int:
     """1 iff every gold answer appears (some alias, normalized substring) in
     the concatenation of all neighbor_information contents, else 0."""
-    return _covers_all_gold(_concat_info(traj, NEIGHBOR_INFORMATION), gold)
+    return _covers(_concat_info(traj, NEIGHBOR_INFORMATION), _gold_sets(gold))
 
 
 def web_reward(traj: Trajectory, gold: Sequence[Sequence[str]]) -> int:
     """Same containment test over the concatenated web_information contents."""
-    return _covers_all_gold(_concat_info(traj, WEB_INFORMATION), gold)
+    return _covers(_concat_info(traj, WEB_INFORMATION), _gold_sets(gold))
 
 
 def overall_reward(r_acc: float, r_graph: int, r_web: int, coverage: str) -> float:
@@ -117,9 +136,12 @@ def overall_reward(r_acc: float, r_graph: int, r_web: int, coverage: str) -> flo
 
 def score_trajectory(traj: Trajectory, gold: Sequence[Sequence[str]], coverage: str) -> RewardBreakdown:
     """Full reward breakdown for one trajectory."""
-    format_ok, r_ans, r_acc = accuracy_reward(traj, gold)
-    r_graph = graph_reward(traj, gold)
-    r_web = web_reward(traj, gold)
+    gold_sets = _gold_sets(gold)
+    format_ok, r_ans, r_acc = _accuracy(traj, gold_sets)
+    o_graph = _concat_info(traj, NEIGHBOR_INFORMATION)
+    o_web = _concat_info(traj, WEB_INFORMATION)
+    r_graph = _covers(o_graph, gold_sets)
+    r_web = _covers(o_web, gold_sets)
     r_over = overall_reward(r_acc, r_graph, r_web, coverage)
     return RewardBreakdown(
         format_ok=format_ok,
@@ -128,8 +150,8 @@ def score_trajectory(traj: Trajectory, gold: Sequence[Sequence[str]], coverage: 
         r_graph=r_graph,
         r_web=r_web,
         r_over=r_over,
-        o_graph=_concat_info(traj, NEIGHBOR_INFORMATION),
-        o_web=_concat_info(traj, WEB_INFORMATION),
+        o_graph=o_graph,
+        o_web=o_web,
     )
 
 

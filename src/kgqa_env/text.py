@@ -5,23 +5,29 @@ from __future__ import annotations
 import re
 import string
 
-_WS = re.compile(r"\s+")
-_NON_WORD = re.compile(r"[^0-9a-z]+")
-_STRIP_CHARS = string.punctuation + string.whitespace
+_WORD = re.compile(r"[^\W_]+")
+#: Every character ``str.split()`` and ``re``'s ``\s`` split on: ASCII
+#: whitespace, the four ASCII separators and the Unicode spaces.
+_WHITESPACE = (
+    "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004"
+    "\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
+)
+#: A text is blank (normalizes to "") exactly when stripping these leaves nothing.
+_STRIP_CHARS = string.punctuation + _WHITESPACE
 
 
 def normalize(text: str) -> str:
-    """Canonical comparison form: lowercase, trimmed, surrounding punctuation
-    stripped, inner whitespace collapsed to single spaces."""
-    out = text.strip(_STRIP_CHARS)
-    out = _WS.sub(" ", out)
-    return out.lower()
+    """Canonical comparison form: whitespace runs collapsed to single
+    spaces, surrounding punctuation and whitespace stripped, lowercased.
+    Idempotent, and the result never starts or ends with either."""
+    return " ".join(text.split()).strip(_STRIP_CHARS).lower()
 
 
 def word_tokens(text: str) -> list[str]:
-    """Lowercase word tokens; splits on whitespace, punctuation, dots and
-    underscores (so ``currency_of`` yields ``currency``, ``of``)."""
-    return [t for t in _NON_WORD.split(text.lower()) if t]
+    """Lowercase word tokens: maximal runs of Unicode letters and digits, so
+    whitespace, punctuation, dots and underscores all separate
+    (``currency_of`` yields ``currency``, ``of``; ``Zürich`` stays whole)."""
+    return _WORD.findall(text.lower())
 
 
 def token_jaccard(a: set[str] | frozenset[str], b: set[str] | frozenset[str]) -> float:
@@ -69,9 +75,3 @@ def levenshtein(a: str, b: str) -> int:
         mv = ph & xv
     return score
 
-
-def contains_normalized(haystack: str, needle: str) -> bool:
-    """True when the normalized needle occurs as a substring of the
-    normalized haystack; empty needles never match."""
-    n = normalize(needle)
-    return bool(n) and n in normalize(haystack)

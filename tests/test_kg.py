@@ -55,7 +55,7 @@ class TestLoad:
         with pytest.raises(KGError, match="line 2"):
             load_triples(p)
 
-    @pytest.mark.parametrize("line", ["a\tr\t", "a\tr\t .", "\tr\tb", "a\t;\tb"])
+    @pytest.mark.parametrize("line", ["a\tr\t", "a\tr\t .", "\tr\tb", "a\t;\tb", "a\tr\t.\u00a0.", "a\t-\x1c-\tb"])
     def test_empty_field_names_line(self, tmp_path, line):
         p = tmp_path / "bad.tsv"
         p.write_text(f"a\tr\tb\n{line}\n")
@@ -109,7 +109,7 @@ class TestLoad:
         aliases.write_text('{"entity": 5, "aliases": ["five"]}\n')
         assert load_aliases(aliases) == {"5": ["five"]}
 
-    @pytest.mark.parametrize("entity", [" ", "", " .;"])
+    @pytest.mark.parametrize("entity", [" ", "", " .;", ".\u2003."])
     def test_blank_alias_entity_names_file_and_line(self, tmp_path, entity):
         aliases = tmp_path / "aliases.jsonl"
         aliases.write_text(f'{{"entity": "a", "aliases": ["A"]}}\n{{"entity": "{entity}", "aliases": ["Persia"]}}\n')
@@ -145,12 +145,12 @@ class TestLoad:
             assert rels == kg.relations
 
 
-_HUB_WORDS = ["place", "of", "birth", "film", "country", "people", "person"]
+_HUB_WORDS = ["place", "of", "birth", "film", "country", "people", "person", "Zürich", "straße", "köln2"]
 
 
-_HYP_WORDS = ["place", "of", "birth"]
-_OTHER_WORDS = ["film", "country", "people"]
-_TOKENLESS = ["ßß", "ß_ß", "ß.ß", "__", "._."]
+_HYP_WORDS = ["place", "of", "birth", "straße"]
+_OTHER_WORDS = ["film", "country", "people", "Zürich", "ßß"]
+_TOKENLESS = ["__", "._.", "_·_", "—", "._—_."]
 
 
 def _joined(words):
@@ -263,9 +263,12 @@ def _edit_distance_oracle(a, b):
 
 def _rank_oracle(kg, entity, hypothesis):
     """Exhaustively score every attached relation and sort."""
+    def tokens(text):
+        # maximal runs of Unicode letters and digits, lowercased
+        return set("".join(c if c.isalnum() else " " for c in text.lower()).split())
+
     def jac(a, b):
-        ta = {t for t in a.lower().replace("_", " ").replace(".", " ").split() if t}
-        tb = {t for t in b.lower().replace("_", " ").replace(".", " ").split() if t}
+        ta, tb = tokens(a), tokens(b)
         if not ta or not tb:
             return 0.0
         return len(ta & tb) / len(ta | tb)
@@ -519,3 +522,24 @@ class TestGcPause:
         finally:
             gc.enable()
         assert seen == [False, False, False]
+
+    @staticmethod
+    def _in_oldest_generation(obj) -> bool:
+        return any(o is obj for o in gc.get_objects(generation=2))
+
+    def test_loaded_objects_start_in_the_oldest_generation(self, tmp_path):
+        kg = load_triples(_TK1)
+        ikg, _ = sample_ikg(kg, [_example("q", sorted(kg.triples))], 0.5, seed=1)
+        corpus = tmp_path / "web.jsonl"
+        corpus.write_text('{"keys": ["a"], "snippet": "A."}\n')
+        web = OfflineWebTool.from_path(corpus)
+        for obj in (kg, kg.head_index, ikg, ikg.head_index, web):
+            assert self._in_oldest_generation(obj)
+
+    def test_a_caller_pause_leaves_generations_alone(self):
+        gc.disable()
+        try:
+            kg = load_triples(_TK1)
+            assert not self._in_oldest_generation(kg.head_index)
+        finally:
+            gc.enable()

@@ -1,10 +1,28 @@
 import math
 import random
+import re
 import statistics
+import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kgqa_env.filtering import (
+    ANSWER_CHECK,
+    FORMAT,
+    PLAN_JUDGE,
+    RETRIEVAL_CKG_GRAPH_MISS,
+    RETRIEVAL_CKG_WEB_PRESENT,
+    RETRIEVAL_IKG_WEB_ABSENT,
+    RETRIEVAL_IKG_WEB_MISS,
+    FilterVerdict,
+    RuleJudge,
+    filter_trajectory,
+)
+from kgqa_env.qa import QAExample
 from kgqa_env.rewards import (
+    RewardBreakdown,
     accuracy_reward,
     answer_f1,
     graph_reward,
@@ -14,7 +32,7 @@ from kgqa_env.rewards import (
     score_trajectory,
     web_reward,
 )
-from kgqa_env.trajectory import parse_trajectory
+from kgqa_env.trajectory import parse_trajectory, validate_format
 
 GOLD_IRAN = (("Iran", "Islamic Republic of Iran"),)
 
@@ -242,3 +260,144 @@ class TestGrouping:
     def test_group_size_must_be_positive(self):
         with pytest.raises(ValueError):
             group_score_records([], group_size=0)
+
+
+# -- the reward side against a brute-force copy of the quadratic scorer -------
+#
+# A standalone copy of the scorer and filter as they were before scoring
+# shared its normalized aliases: regex whitespace collapse after an ASCII
+# strip, a nested-loop F1 and one normalization of the joined information
+# text per gold alias. The two normalizations agree on ASCII text without
+# the separators \x1c-\x1f, which is what the strategies draw; the Unicode
+# edge whitespace they differ on is covered by the hand-written cases above.
+
+def _old_normalize(text):
+    return re.sub(r"\s+", " ", text.strip(string.punctuation + string.whitespace)).lower()
+
+
+def _old_f1(pred, gold):
+    if not pred or not gold:
+        return 0.0
+    pred_norm = {_old_normalize(p) for p in pred} - {""}
+    if not pred_norm:
+        return 0.0
+    gold_norm = [{_old_normalize(a) for a in aliases} - {""} for aliases in gold]
+    matched_preds = sum(1 for p in pred_norm if any(p in aliases for aliases in gold_norm))
+    matched_golds = sum(1 for aliases in gold_norm if aliases & pred_norm)
+    precision = matched_preds / len(pred_norm)
+    recall = matched_golds / len(gold_norm)
+    if precision + recall == 0:
+        return 0.0
+    return 2 * precision * recall / (precision + recall)
+
+
+def _old_items(traj):
+    answers = traj.blocks("answer")
+    if not answers:
+        return []
+    return [it for it in (_old_normalize(p) for p in re.split(r"[;|]", answers[-1].content)) if it]
+
+
+def _old_joined(traj, tag):
+    return "\n".join(s.content for s in traj.steps if s.tag == tag)
+
+
+def _old_covers(text, gold):
+    def contains(haystack, needle):
+        n = _old_normalize(needle)
+        return bool(n) and n in _old_normalize(haystack)
+
+    if not gold or not text:
+        return 0
+    return int(all(any(contains(text, alias) for alias in aliases) for aliases in gold))
+
+
+def _old_score(traj, gold, coverage):
+    format_ok = validate_format(traj).valid
+    r_ans = _old_f1(set(_old_items(traj)), gold)
+    r_acc = max(0.1, r_ans) if format_ok else 0.0
+    o_graph, o_web = _old_joined(traj, "neighbor_information"), _old_joined(traj, "web_information")
+    r_graph, r_web = _old_covers(o_graph, gold), _old_covers(o_web, gold)
+    return RewardBreakdown(format_ok, r_ans, r_acc, r_graph, r_web,
+                           overall_reward(r_acc, r_graph, r_web, coverage), o_graph, o_web)
+
+
+def _old_filter(traj, example, coverage, answer_threshold):
+    failed = []
+    if not validate_format(traj).valid:
+        failed.append(FORMAT)
+    if _old_f1(set(_old_items(traj)), example.answers) < answer_threshold:
+        failed.append(ANSWER_CHECK)
+    has_web = bool(traj.blocks("web_search"))
+    if coverage == "CKG":
+        if has_web:
+            failed.append(RETRIEVAL_CKG_WEB_PRESENT)
+        if _old_covers(_old_joined(traj, "neighbor_information"), example.answers) == 0:
+            failed.append(RETRIEVAL_CKG_GRAPH_MISS)
+    elif not has_web:
+        failed.append(RETRIEVAL_IKG_WEB_ABSENT)
+    elif _old_covers(_old_joined(traj, "web_information"), example.answers) == 0:
+        failed.append(RETRIEVAL_IKG_WEB_MISS)
+    plans = traj.blocks("plan")
+    if not plans or RuleJudge().score(example, plans[0].content) == 0:
+        failed.append(PLAN_JUDGE)
+    return FilterVerdict(keep=not failed, failed_checks=tuple(failed))
+
+
+# ASCII without the tag brackets and without \x1c-\x1f.
+_ASCII = "aInr." + " \t\n\r\x0b\x0c" + "!?;,'-_"
+# Aliases that contain each other, differ only in case, spacing or edge
+# punctuation, or are empty or punctuation only.
+_ALIASES = ["Iran", "iran.", "Ira", "Iranian", "ran", "Harold  Ramis", "harold\tramis", "", "..", "?!", " "]
+_ALIAS = st.sampled_from(_ALIASES) | st.text(_ASCII, max_size=6)
+_GOOD_PLAN = "S1: Ans(country | currency_of(Iranian rial, ?))"
+
+
+@st.composite
+def _reward_cases(draw):
+    alias = st.sampled_from([a for a in _ALIASES if a.strip(string.punctuation + " ")]) | _ALIAS
+    gold = tuple(tuple(draw(st.lists(alias, max_size=3))) for _ in range(draw(st.integers(0, 3))))
+
+    def parts():
+        # usually one alias of each gold answer, among other text, so that
+        # full coverage and exact answers are common
+        hits = [draw(st.sampled_from(aliases)) for aliases in gold if aliases and draw(st.integers(0, 3))]
+        return draw(st.permutations(hits + draw(st.lists(_ALIAS, max_size=2))))
+
+    def info():
+        return draw(st.sampled_from([" ", "  \n ", "\t", "; "])).join(parts())
+
+    blocks = [("plan", draw(st.sampled_from([_GOOD_PLAN, "figure it out"])))]
+    for kind in draw(st.lists(st.sampled_from(["neighbor", "web", "think"]), max_size=5)):
+        if kind == "think":
+            blocks.append(("think", info()))
+        else:
+            blocks += [(f"{kind}_search", "Iranian rial | currency_of"), (f"{kind}_information", info())]
+    if draw(st.integers(0, 4)):
+        items = parts()  # the first one again: a duplicate prediction
+        blocks.append(("answer", draw(st.sampled_from([";", "|", " ; "])).join(items + items[:1])))
+    if draw(st.integers(0, 4)) == 0:
+        blocks = draw(st.permutations(blocks))
+    text = "".join(f"<{tag}>{content}</{tag}>" for tag, content in blocks)
+    return parse_trajectory(text, question_id="q"), gold
+
+
+class TestAgainstQuadraticOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(case=_reward_cases(), coverage=st.sampled_from(["CKG", "IKG"]), threshold=st.sampled_from([1.0, 0.5]))
+    def test_score_and_filter_equal_the_brute_force_copy(self, case, coverage, threshold):
+        traj, gold = case
+        example = QAExample("q", "Which country uses the Iranian rial?", ("Iranian_rial",), gold)
+        assert score_trajectory(traj, gold, coverage) == _old_score(traj, gold, coverage)
+        assert filter_trajectory(traj, example, coverage, RuleJudge(), threshold) == \
+            _old_filter(traj, example, coverage, threshold)
+
+
+class TestUnicodeEdgeWhitespace:
+    def test_f1_matches_an_alias_with_a_trailing_no_break_space(self):
+        assert answer_f1({"Iran"}, (("Iran\u00a0",),)) == 1.0
+
+    def test_web_reward_finds_an_alias_with_edge_unicode_whitespace(self):
+        traj = parse_trajectory("<plan>P</plan><web_search>q</web_search><web_information>Iran</web_information>")
+        assert web_reward(traj, (("Iran\u00a0",),)) == 1
+        assert web_reward(traj, (("\u2003Iran\x85",),)) == 1

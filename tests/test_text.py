@@ -1,7 +1,11 @@
+import re
+import string
+import sys
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kgqa_env.text import contains_normalized, levenshtein, normalize, token_jaccard, word_tokens
+from kgqa_env.text import _STRIP_CHARS, levenshtein, normalize, token_jaccard, word_tokens
 from test_kg import _edit_distance_oracle
 
 # A small alphabet makes near matches common; the non-ASCII letters cover
@@ -17,9 +21,49 @@ def test_normalize_lowers_trims_and_collapses():
     assert normalize("") == ""
 
 
+# Unicode whitespace that is not ASCII whitespace: no-break space, em space,
+# an ASCII file separator and next-line; plus letters that change or grow
+# (dotted capital I) when lowercased, and punctuation.
+_EDGE_ALPHABET = "aZ éß\u0130\u00a0\u2003\x1c\x85\t\n.,;!?-_\"'()"
+
+
+def test_normalize_trims_unicode_edge_whitespace():
+    assert normalize("Iran\u00a0") == "iran"
+    assert normalize("\u00a0a") == "a"
+    assert normalize(".\u2003\x1c Harold\u00a0\x85 Ramis\x1c.") == "harold ramis"
+    assert normalize(".\u00a0.") == ""
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(_EDGE_ALPHABET, max_size=20))
+@example("Iran\u00a0")
+@example(".\u00a0.")
+def test_normalize_is_idempotent_and_trimmed(text):
+    out = normalize(text)
+    assert normalize(out) == out
+    assert out == out.strip(string.punctuation + string.whitespace)
+    assert out == out.strip()  # str.strip() trims all Unicode whitespace
+    assert "  " not in out
+
+
+def test_strip_chars_hold_every_whitespace_character():
+    # a field is blank exactly when stripping _STRIP_CHARS leaves nothing,
+    # which needs every character str.split() and re's \s split on
+    spaces = {chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()}
+    assert spaces == {c for c in _STRIP_CHARS if c.isspace()}
+    assert all(re.fullmatch(r"\s", c) and len(f"a{c}a".split()) == 2 for c in spaces)
+
+
 def test_word_tokens_split_on_dots_and_underscores():
     assert word_tokens("currency_of") == ["currency", "of"]
     assert word_tokens("people.person.born_in") == ["people", "person", "born", "in"]
+
+
+def test_word_tokens_keep_unicode_letters_and_digits():
+    assert word_tokens("Zürich_city") == ["zürich", "city"]
+    assert word_tokens("ßß") == ["ßß"]
+    assert word_tokens("København 2024") == ["københavn", "2024"]
+    assert word_tokens("__ . —") == []
 
 
 def test_token_jaccard():
@@ -42,8 +86,3 @@ def test_levenshtein_known_values():
 def test_levenshtein_matches_full_matrix_dp(a, b):
     assert levenshtein(a, b) == levenshtein(b, a) == _edit_distance_oracle(a, b)
 
-
-def test_contains_normalized():
-    assert contains_normalized("Results: Harold  Ramis; Billy Crystal", "harold ramis")
-    assert not contains_normalized("nothing here", "iran")
-    assert not contains_normalized("anything", "   ")

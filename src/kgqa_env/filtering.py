@@ -79,7 +79,7 @@ class RuleJudge(Judge):
         except PlanError:
             return 0
         heads = {
-            normalize(sq.expr.head)
+            normalize(display(sq.expr.head))
             for sq in plan.sub_questions
             if isinstance(sq.expr, Ans) and not sq.expr.head_is_ref
         }

@@ -3,9 +3,8 @@ incomplete-graph variants with a per-question removal log.
 
 A :class:`KnowledgeGraph` is immutable after construction and safe to share
 across concurrent rollouts. :func:`sample_ikg` returns a new graph that
-shares every container the removal leaves unchanged with its base: the
-alias map, the resolver, the relation tokens and the token index unless a
-relation vanishes, the tail sets of untouched pairs and the relation sets of
+always shares with its base the alias map, the resolver, both relation
+ranking maps, the tail sets of untouched pairs and the relation sets of
 untouched heads. The sharing is safe because neither graph ever mutates them.
 """
 
@@ -114,20 +113,24 @@ def _build_indices(
 class KnowledgeGraph:
     """Immutable, fully indexed triple store with an entity alias map.
 
-    ``aliases`` maps every entity (heads and tails alike) to a tuple of
-    surface texts whose first element is always the identifier with
-    underscores replaced by spaces; extra aliases come from the alias file.
-    The triple set itself is not stored: ``pair_index`` holds it, and
-    :attr:`triples` derives it on first read.
+    Stored: the relations of each head, the tails of each (head, relation)
+    pair, the alias file's names of each entity it lists (in file order,
+    without repeats), the resolver from normalized surface text to entity,
+    and the two relation ranking maps. Derived on first read:
+    :attr:`triples` from ``pair_index`` and :attr:`relations` from
+    ``head_index``. An entity's display text is :func:`display` of its id.
+
+    The ranking maps may name relations that no head keeps (a graph from
+    :func:`sample_ikg` shares its base's). That never changes a ranking:
+    :meth:`relation_search` draws every candidate from ``head_index``.
     """
 
     head_index: dict[str, frozenset[str]]
     pair_index: dict[tuple[str, str], frozenset[str]]
-    relations: frozenset[str]
     aliases: dict[str, tuple[str, ...]]
     _resolve: dict[str, str]
-    _relation_tokens: dict[str, frozenset[str]]
-    _token_relations: dict[str, frozenset[str]]
+    _relation_tokens: dict[str, frozenset[str]]  # relation -> its word tokens
+    _token_relations: dict[str, frozenset[str]]  # word token -> relations holding it
 
     @classmethod
     def from_triples(
@@ -136,19 +139,10 @@ class KnowledgeGraph:
         alias_map: dict[str, Sequence[str]] | None = None,
     ) -> "KnowledgeGraph":
         head_index, pair_index, relations = _build_indices(triples)
-        entities = set(head_index).union(*pair_index.values())
-        if alias_map:
-            entities |= set(alias_map)
-        aliases: dict[str, tuple[str, ...]] = {}
-        for e in entities:
-            names = [display(e)]
-            for extra in (alias_map or {}).get(e, ()):
-                if extra not in names:
-                    names.append(extra)
-            aliases[e] = tuple(names)
+        aliases = {e: tuple(dict.fromkeys(names)) for e, names in (alias_map or {}).items()}
         resolve: dict[str, str] = {}
-        for e in sorted(entities):
-            for key in (normalize(e), *(normalize(a) for a in aliases[e])):
+        for e in sorted(set(head_index).union(*pair_index.values(), aliases)):
+            for key in (normalize(e), normalize(display(e)), *map(normalize, aliases.get(e, ()))):
                 if key:
                     resolve.setdefault(key, e)
         relation_tokens = {r: frozenset(word_tokens(r)) for r in relations}
@@ -157,12 +151,17 @@ class KnowledgeGraph:
             for token in tokens:
                 token_sets.setdefault(token, set()).add(relation)
         token_relations = {t: frozenset(rs) for t, rs in token_sets.items()}
-        return cls(head_index, pair_index, relations, aliases, resolve, relation_tokens, token_relations)
+        return cls(head_index, pair_index, aliases, resolve, relation_tokens, token_relations)
 
     @functools.cached_property
     def triples(self) -> frozenset[Triple]:
         """Every triple of the graph, built from ``pair_index`` on first read."""
         return frozenset(Triple(h, r, t) for (h, r), tails in self.pair_index.items() for t in tails)
+
+    @functools.cached_property
+    def relations(self) -> frozenset[str]:
+        """Every relation some head keeps, built from ``head_index`` on first read."""
+        return frozenset().union(*self.head_index.values())
 
     def __len__(self) -> int:
         return sum(map(len, self.pair_index.values()))
@@ -171,11 +170,6 @@ class KnowledgeGraph:
         """Map surface text (identifier or alias, any case/spacing) to an
         entity identifier; None when nothing matches."""
         return self._resolve.get(normalize(text))
-
-    def entity_display(self, entity: str) -> str:
-        """Primary alias of an entity (identifier display form)."""
-        names = self.aliases.get(entity)
-        return names[0] if names else display(entity)
 
     def relation_search(self, entity: str, hypothesis: str, k: int = 15) -> list[str]:
         """Top-``k`` relations attached to ``entity``, ranked by word-token
@@ -218,13 +212,13 @@ class KnowledgeGraph:
         return [rel for _, rel in ranked[:k]]
 
     def neighbor_search(self, entity: str, relation: str) -> set[str] | str:
-        """Tail entities of ``(entity, relation)`` rendered as alias texts,
+        """Tail entities of ``(entity, relation)`` rendered in display form,
         or the sentinel string when the pair is absent. The sentinel is a
         value, not an error."""
         tails = self.pair_index.get((entity, relation))
         if not tails:
             return SENTINEL
-        return {self.entity_display(t) for t in tails}
+        return {display(t) for t in tails}
 
 
 @gc_paused
@@ -279,13 +273,21 @@ def load_aliases(path: str | Path) -> dict[str, list[str]]:
     return alias_map
 
 
+def _coverage(removed: Sequence[Triple]) -> str:
+    return COVERAGE_IKG if removed else COVERAGE_CKG
+
+
 @dataclass(frozen=True)
 class RemovalLog:
-    """Per-question record of removed critical triples and the derived
-    coverage label (IKG iff anything was removed for that question)."""
+    """Per-question record of removed critical triples. Only the removals
+    are stored; :attr:`coverage` derives each question's label from them."""
 
     entries: dict[str, list[Triple]]
-    coverage: dict[str, str]
+
+    @property
+    def coverage(self) -> dict[str, str]:
+        """Question id -> IKG if anything was removed for it, else CKG."""
+        return {qid: _coverage(removed) for qid, removed in self.entries.items()}
 
 
 @gc_paused
@@ -307,7 +309,6 @@ def sample_ikg(
     if not 0.0 <= fraction <= 1.0:
         raise KGError(f"fraction must be in [0, 1], got {fraction}")
     entries: dict[str, list[Triple]] = {}
-    coverage: dict[str, str] = {}
     purged_tails: dict[str, set[str]] = {}  # head -> tails it loses every edge to
     for ex in qa_set:
         crits = sorted(set(ex.critical_triples))
@@ -319,24 +320,24 @@ def sample_ikg(
         rng = random.Random(f"{seed}:{ex.id}")
         chosen = sorted(rng.sample(crits, n_remove)) if n_remove else []
         entries[ex.id] = chosen
-        coverage[ex.id] = COVERAGE_IKG if chosen else COVERAGE_CKG
         for t in chosen:
             purged_tails.setdefault(t.head, set()).add(t.tail)
             purged_tails.setdefault(t.tail, set()).add(t.head)
-    return _without_edges(kg, purged_tails), RemovalLog(entries, coverage)
+    return _without_edges(kg, purged_tails), RemovalLog(entries)
 
 
 def _without_edges(kg: KnowledgeGraph, purged_tails: dict[str, set[str]]) -> KnowledgeGraph:
     """``kg`` without any triple from a head to one of its ``purged_tails``.
 
     Only the purged heads' pairs are rebuilt. Every other container is the
-    base graph's own, and the entity set is the base's (the aliases are),
-    so the result equals ``from_triples`` over the survivors with the base
-    aliases.
+    base graph's own, and the entity set is the base's (the aliases are).
+    So the result's indexes, relations and resolver equal those of
+    ``from_triples`` over the survivors with the base's entities as alias
+    keys; its ranking maps are the base's, which rank alike (see
+    :class:`KnowledgeGraph`).
     """
     head_index = dict(kg.head_index)
     pair_index = dict(kg.pair_index)
-    vanished: set[str] = set()  # relations that lost a whole pair; pruned below to those no head keeps
     for head, drop in purged_tails.items():
         attached = head_index.get(head)
         if attached is None:
@@ -352,54 +353,36 @@ def _without_edges(kg: KnowledgeGraph, purged_tails: dict[str, set[str]]) -> Kno
             else:
                 del pair_index[(head, relation)]
                 kept.remove(relation)
-                vanished.add(relation)
         if not kept:
             del head_index[head]
         elif len(kept) < len(attached):
             head_index[head] = frozenset(kept)
-    for attached in head_index.values():
-        if not vanished:
-            break
-        if not vanished.isdisjoint(attached):
-            vanished -= attached
-    relations, relation_tokens, token_relations = kg.relations, kg._relation_tokens, kg._token_relations
-    if vanished:
-        relations = relations - vanished
-        relation_tokens = {r: tokens for r, tokens in relation_tokens.items() if r not in vanished}
-        token_relations = dict(token_relations)
-        for token in {t for r in vanished for t in kg._relation_tokens[r]}:
-            left = token_relations[token] - vanished
-            if left:
-                token_relations[token] = left
-            else:
-                del token_relations[token]
-    return replace(kg, head_index=head_index, pair_index=pair_index, relations=relations,
-                   _relation_tokens=relation_tokens, _token_relations=token_relations)
+    return replace(kg, head_index=head_index, pair_index=pair_index)
 
 
 def write_removal_log(log: RemovalLog, path: str | Path) -> None:
     """Write a removal log as JSON-lines {"id", "removed", "coverage"}."""
     write_jsonl(
-        ({"id": qid, "removed": [list(t) for t in removed], "coverage": log.coverage[qid]}
+        ({"id": qid, "removed": [list(t) for t in removed], "coverage": _coverage(removed)}
          for qid, removed in log.entries.items()),
         path,
     )
 
 
 def read_removal_log(path: str | Path) -> RemovalLog:
-    """Read a JSON-lines removal log."""
-    def record(rec: dict) -> tuple[str, list[Triple], str]:
-        if rec["coverage"] not in (COVERAGE_CKG, COVERAGE_IKG):
-            raise ValueError(f"unknown coverage label {rec['coverage']!r}")
+    """Read a JSON-lines removal log. Ids are read as text, as in the QA
+    and trajectory files; a coverage label must agree with the record's
+    removals, else :class:`KGError` names the file and line."""
+    def record(rec: dict) -> tuple[str, list[Triple]]:
+        label = rec["coverage"]
+        if label not in (COVERAGE_CKG, COVERAGE_IKG):
+            raise ValueError(f"unknown coverage label {label!r}")
         removed = [Triple(*json_list(t, "removed")) for t in json_list(rec["removed"], "removed")]
-        return rec["id"], removed, rec["coverage"]
+        if label != _coverage(removed):
+            raise ValueError(f"coverage label {label!r} disagrees with {len(removed)} removed triples")
+        return str(rec["id"]), removed
 
-    entries: dict[str, list[Triple]] = {}
-    coverage: dict[str, str] = {}
-    for qid, removed, label in read_jsonl(path, KGError, "removal-log record", record):
-        entries[qid] = removed
-        coverage[qid] = label
-    return RemovalLog(entries, coverage)
+    return RemovalLog(dict(read_jsonl(path, KGError, "removal-log record", record)))
 
 
 def write_triples(kg: KnowledgeGraph, path: str | Path) -> None:

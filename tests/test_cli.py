@@ -20,11 +20,17 @@ class TestBuildKg:
         rc, stdout, _ = run(capsys, "build-kg", "--triples", str(TOY_KG),
                             "--aliases", str(TOY_ALIASES), "--out", str(out))
         assert rc == 0
-        stats = json.loads(stdout)
-        assert stats["triples"] == 96
+        assert stdout == '{"triples": 96, "entities": 110, "relations": 33, "head_entities": 35}\n'
         lines = out.read_text().splitlines()
         assert len(lines) == 96
         assert lines == sorted(lines)
+
+    def test_alias_only_entity_is_counted(self, capsys, tmp_path):
+        aliases = tmp_path / "aliases.jsonl"
+        aliases.write_text(TOY_ALIASES.read_text() + '{"entity": "Atlantis", "aliases": ["Lost City"]}\n')
+        rc, stdout, _ = run(capsys, "build-kg", "--triples", str(TOY_KG), "--aliases", str(aliases))
+        assert rc == 0
+        assert json.loads(stdout)["entities"] == 111
 
     def test_malformed_file_reports_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.tsv"
@@ -95,6 +101,19 @@ class TestPipeline:
         assert report["hits_at_1"] == 1.0
         assert report["web_search_ratio"] == 0.4
         assert report["n_questions"] == 25
+
+    def test_score_matches_numeric_ids_across_files(self, workdir, capsys):
+        # JSON ids written as numbers are read as text in the QA, trajectory and removal-log files alike
+        qa, traj, log = (workdir / name for name in ("num_qa.jsonl", "num_traj.jsonl", "num_log.jsonl"))
+        for src, dst in ((TOY_QA, qa), (workdir / "traj.jsonl", traj), (workdir / "ikg.jsonl", log)):
+            rec = next(json.loads(l) for l in src.read_text().splitlines() if json.loads(l)["id"] == "q01")
+            dst.write_text(json.dumps({**rec, "id": 1}) + "\n")
+        scores = workdir / "num_scores.jsonl"
+        rc, _, stderr = run(capsys, "score", "--traj", str(traj), "--qa", str(qa), "--ikg-log", str(log),
+                            "--out", str(scores))
+        assert rc == 0, stderr
+        [rec] = [json.loads(l) for l in scores.read_text().splitlines()]
+        assert rec["id"] == "1" and rec["coverage"] == "IKG"
 
     def test_score_requires_coverage_for_every_question(self, workdir, capsys):
         empty_log = workdir / "empty.jsonl"

@@ -107,6 +107,10 @@ class TestRuleJudge:
     def test_single_hop_plan_with_topic_scores_one(self, tk1_example):
         assert RuleJudge().score(tk1_example, tk1_example.plan) == 1
 
+    def test_id_form_head_scores_like_display_form(self, tk1_example):
+        for head in ("Iranian rial", "Iranian_rial"):
+            assert RuleJudge().score(tk1_example, f"S1: Ans(country | currency_of({head}, ?))") == 1, head
+
     def test_missing_topic_entity_scores_zero(self, tk1_example):
         assert RuleJudge().score(tk1_example, "S1: Ans(country | currency_of(Somewhere else, ?))") == 0
 

@@ -98,6 +98,21 @@ class TestLoad:
         with pytest.raises(KGError, match=f"line 1 of {log}: unknown coverage label 'PARTIAL'"):
             read_removal_log(log)
 
+    @pytest.mark.parametrize("record", ['{"id": "q", "removed": [], "coverage": "IKG"}',
+                                        '{"id": "q", "removed": [["a", "r", "b"]], "coverage": "CKG"}'])
+    def test_coverage_label_must_agree_with_removals(self, tmp_path, record):
+        log = tmp_path / "log.jsonl"
+        log.write_text(record + "\n")
+        with pytest.raises(KGError, match=f"line 1 of {log}: coverage label '.KG' disagrees"):
+            read_removal_log(log)
+
+    def test_numeric_removal_log_id_is_read_as_text(self, tmp_path):
+        log = tmp_path / "log.jsonl"
+        log.write_text('{"id": 5, "removed": [["a", "r", "b"]], "coverage": "IKG"}\n')
+        back = read_removal_log(log)
+        assert back.entries == {"5": [Triple("a", "r", "b")]}
+        assert back.coverage == {"5": "IKG"}
+
     def test_string_aliases_are_not_a_list(self, tmp_path):
         aliases = tmp_path / "aliases.jsonl"
         aliases.write_text('{"entity": "Iran", "aliases": "Persia"}\n')
@@ -132,7 +147,8 @@ class TestLoad:
             read_removal_log(log)
 
     def test_alias_map_defaults_to_display_form(self, tk1):
-        assert tk1.aliases["Iranian_rial"][0] == "Iranian rial"
+        assert tk1.aliases == {}  # no alias file, so only the display form resolves
+        assert tk1.neighbor_search("Analyze_That", "written_by") == {"Harold Ramis"}
         assert tk1.resolve_entity("iranian rial") == "Iranian_rial"
         assert tk1.resolve_entity("Iranian_rial") == "Iranian_rial"
         assert tk1.resolve_entity("missing thing") is None
@@ -385,21 +401,31 @@ class TestSampleIkg:
         assert back.coverage == log.coverage
 
 
-_FIELDS = ("head_index", "pair_index", "relations", "aliases", "_resolve", "_relation_tokens", "_token_relations",
-           "triples")
+_EQUAL = ("head_index", "pair_index", "relations", "_resolve", "triples")
+_SHARED = ("aliases", "_relation_tokens", "_token_relations")
 
 
 def _assert_matches_rebuild(kg, questions, fraction, seed):
     """``sample_ikg``'s graph equals ``from_triples`` over the survivors of
-    the logged removals, with the base graph's aliases, field by field."""
+    the logged removals, with the base graph's entities as alias keys: in
+    every index, in the relations and resolver, and in every ranking
+    ``relation_search`` gives. It shares the base's aliases and ranking
+    maps, which may still name relations no head keeps."""
     derived, log = sample_ikg(kg, questions, fraction, seed)
     purged = {pair for removed in log.entries.values() for t in removed
               for pair in ((t.head, t.tail), (t.tail, t.head))}
     survivors = [t for t in kg.triples if (t.head, t.tail) not in purged]
-    rebuilt = KnowledgeGraph.from_triples(survivors, {e: list(a[1:]) for e, a in kg.aliases.items()})
-    for field in _FIELDS:
+    entities = set(kg.head_index).union(*kg.pair_index.values(), kg.aliases)
+    rebuilt = KnowledgeGraph.from_triples(survivors, {e: list(kg.aliases.get(e, ())) for e in entities})
+    for field in _EQUAL:
         assert getattr(derived, field) == getattr(rebuilt, field), field
+    for field in _SHARED:
+        assert getattr(derived, field) is getattr(kg, field), field
     assert len(derived) == len(rebuilt) == len(survivors)
+    for head in kg.head_index:
+        for hyp in ("", *sorted(kg.relations)):
+            for k in (1, 2, 15):
+                assert derived.relation_search(head, hyp, k) == rebuilt.relation_search(head, hyp, k), (head, hyp, k)
     return derived
 
 
@@ -439,16 +465,18 @@ class TestIncrementalIkg:
     def test_vanished_relation_and_emptied_head(self):
         kg = KnowledgeGraph.from_triples([("a", "only_here", "b"), ("c", "r", "d")])
         derived = _assert_matches_rebuild(kg, [_example("q", [("a", "only_here", "b")])], 1.0, 0)
-        assert "only_here" not in derived.relations and "only_here" not in derived._relation_tokens
+        assert "only_here" not in derived.relations
         assert "a" not in derived.head_index
         assert derived.resolve_entity("a") == "a"  # the entity set is unchanged
 
-    def test_vanished_relation_leaves_the_token_index(self):
-        kg = KnowledgeGraph.from_triples([("a", "only_here", "b"), ("c", "here_too", "d")])
+    def test_vanished_relation_never_ranks(self):
+        kg = KnowledgeGraph.from_triples([("a", "only_here", "b"), ("c", "here_too", "d"),
+                                          ("e", "here_too", "f"), ("e", "other", "f")])
         derived = _assert_matches_rebuild(kg, [_example("q", [("a", "only_here", "b")])], 1.0, 0)
-        assert derived._token_relations == {"here": {"here_too"}, "too": {"here_too"}}
-        assert kg._token_relations["here"] == {"only_here", "here_too"}  # the base keeps its own
+        assert derived._token_relations["here"] == {"only_here", "here_too"}  # shared with the base
         assert derived.relation_search("c", "only here") == ["here_too"]
+        assert derived.relation_search("e", "only here", k=1) == ["here_too"]  # through the token index
+        assert "only_here" not in derived.relations
 
     def test_token_index_is_shared_while_no_relation_vanishes(self):
         kg = KnowledgeGraph.from_triples([("a", "r", "b"), ("c", "r", "d")])
@@ -458,6 +486,8 @@ class TestIncrementalIkg:
     def test_untouched_containers_are_shared(self, toy_kg, toy_qa):
         derived, _ = sample_ikg(toy_kg, toy_qa, 0.4, seed=0)
         assert derived.aliases is toy_kg.aliases and derived._resolve is toy_kg._resolve
+        derived = _assert_matches_rebuild(toy_kg, toy_qa, 0.4, seed=1)
+        assert len(toy_kg.relations - derived.relations) == 2  # whole relations vanish at this seed
 
 
 class TestGcPause:

@@ -116,20 +116,16 @@ def judge_plan(example: QAExample, plan_text: str, judge: Judge) -> int:
     return score
 
 
-def filter_trajectory(
-    traj: Trajectory,
-    example: QAExample,
-    coverage: str,
-    judge: Judge,
-    answer_threshold: float = 1.0,
-) -> FilterVerdict:
-    """Run all filter checks and collect every failure. ``answer_threshold``
-    defaults to an exact answer-set match (F1 = 1); lower it to admit
-    partially correct answers.
+def filter_trajectory(traj: Trajectory, example: QAExample, coverage: str, judge: Judge) -> FilterVerdict:
+    """Run all filter checks and collect every failure. ANSWER needs an
+    exact answer-set match: answer F1 of 1, as ``score_trajectory`` computes
+    it.
 
     Under IKG, a missing web search fails RETRIEVAL_IKG_WEB_ABSENT while
     RETRIEVAL_IKG_WEB_MISS fires only when web retrievals exist but lack the
-    gold answer, so the two codes identify distinct defects.
+    gold answer, so the two codes identify distinct defects. The filter
+    computes only the coverage its checks read (the graph's under CKG, the
+    web's under IKG), not the scorer's full breakdown.
     """
     if coverage not in (COVERAGE_CKG, COVERAGE_IKG):
         raise ValueError(f"coverage label must be {COVERAGE_CKG!r} or {COVERAGE_IKG!r}, got {coverage!r}")
@@ -137,7 +133,7 @@ def filter_trajectory(
     gold_sets = _gold_sets(example.answers)
     if not validate_format(traj).valid:
         failed.append(FORMAT)
-    if _f1(set(answer_items(traj)), gold_sets) < answer_threshold:
+    if _f1(set(answer_items(traj)), gold_sets) < 1.0:
         failed.append(ANSWER_CHECK)
     has_web = bool(traj.blocks(WEB_SEARCH))
     if coverage == COVERAGE_CKG:

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
-from .jsonio import json_list, read_jsonl, write_jsonl
+from .jsonio import json_list, read_jsonl
 from .kg import Triple
 
 
@@ -55,18 +54,3 @@ def load_qa(path: str | Path) -> list[QAExample]:
 
     return list(read_jsonl(path, QAError, "QA record", example))
 
-
-def write_qa(examples: Sequence[QAExample], path: str | Path) -> None:
-    def record(ex: QAExample) -> dict:
-        rec: dict = {
-            "id": ex.id,
-            "question": ex.question,
-            "topic_entities": list(ex.topic_entities),
-            "answers": [list(a) for a in ex.answers],
-            "critical_triples": [list(t) for t in ex.critical_triples],
-        }
-        if ex.plan is not None:
-            rec["plan"] = ex.plan
-        return rec
-
-    write_jsonl(map(record, examples), path)

@@ -1,11 +1,12 @@
 """Multi-signal reward scoring and group-relative advantages.
 
-Scoring combines an outcome reward (answer F1 gated by format validity, with
-a 0.1 floor for well-formed attempts) with retrieval signals computed over
-the concatenated graph and web information blocks, and an overall reward
-that penalizes web search when the graph was complete, or its absence when
-the graph was not. All operations are pure; batches can be scored in
-parallel without coordination.
+``score_trajectory`` is the one scoring entry point. It combines an outcome
+reward (answer F1 gated by format validity, with a 0.1 floor for
+well-formed attempts) with graph and web coverage of the gold answers in
+the concatenated information blocks, and an overall reward that penalizes
+web search when the graph was complete, or its absence when the graph was
+not. All operations are pure; batches can be scored in parallel without
+coordination.
 
 Cost: one call normalizes each gold alias once, and each information text
 (the joined graph blocks, the joined web blocks) once, so scoring is linear
@@ -18,6 +19,7 @@ cached across calls.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, Set
@@ -39,8 +41,9 @@ DEFAULT_GROUP_SIZE = 8
 
 @dataclass(frozen=True)
 class RewardBreakdown:
-    """All reward components for one trajectory, plus the concatenated
-    retrieval views they were computed from."""
+    """All reward components for one trajectory: format validity, answer
+    F1, the accuracy reward, graph and web coverage (0 or 1), and the
+    overall reward."""
 
     format_ok: bool
     r_ans: float
@@ -48,8 +51,6 @@ class RewardBreakdown:
     r_graph: int
     r_web: int
     r_over: float
-    o_graph: str
-    o_web: str
 
 
 def _gold_sets(gold: Sequence[Sequence[str]]) -> list[set[str]]:
@@ -80,39 +81,8 @@ def _covers(text: str, gold_sets: list[set[str]]) -> int:
     return int(all(any(alias in haystack for alias in aliases) for aliases in gold_sets))
 
 
-def answer_f1(pred: Set[str], gold: Sequence[Sequence[str]]) -> float:
-    """Set F1 between predictions and gold answers, where a prediction
-    matches a gold answer when it equals any of its aliases after
-    normalization. Empty predictions or empty gold score 0."""
-    return _f1({normalize(p) for p in pred} - {""}, _gold_sets(gold))
-
-
-def _accuracy(traj: Trajectory, gold_sets: list[set[str]]) -> tuple[bool, float, float]:
-    format_ok = validate_format(traj).valid
-    r_ans = _f1(set(answer_items(traj)), gold_sets)
-    return format_ok, r_ans, (max(0.1, r_ans) if format_ok else 0.0)
-
-
-def accuracy_reward(traj: Trajectory, gold: Sequence[Sequence[str]]) -> tuple[bool, float, float]:
-    """(format_ok, r_ans, accuracy reward). A malformed trajectory scores 0;
-    a well-formed one scores max(0.1, r_ans), so honest format compliance is
-    never worth less than 0.1."""
-    return _accuracy(traj, _gold_sets(gold))
-
-
 def _concat_info(traj: Trajectory, tag: str) -> str:
     return "\n".join(s.content for s in traj.steps if s.tag == tag)
-
-
-def graph_reward(traj: Trajectory, gold: Sequence[Sequence[str]]) -> int:
-    """1 iff every gold answer appears (some alias, normalized substring) in
-    the concatenation of all neighbor_information contents, else 0."""
-    return _covers(_concat_info(traj, NEIGHBOR_INFORMATION), _gold_sets(gold))
-
-
-def web_reward(traj: Trajectory, gold: Sequence[Sequence[str]]) -> int:
-    """Same containment test over the concatenated web_information contents."""
-    return _covers(_concat_info(traj, WEB_INFORMATION), _gold_sets(gold))
 
 
 def overall_reward(r_acc: float, r_graph: int, r_web: int, coverage: str) -> float:
@@ -135,23 +105,24 @@ def overall_reward(r_acc: float, r_graph: int, r_web: int, coverage: str) -> flo
 
 
 def score_trajectory(traj: Trajectory, gold: Sequence[Sequence[str]], coverage: str) -> RewardBreakdown:
-    """Full reward breakdown for one trajectory."""
+    """Full reward breakdown for one trajectory. ``r_ans`` is the set F1 of
+    the answer items against the gold alias sets (equal after normalizing);
+    ``r_acc`` is 0 for a malformed trajectory, else max(0.1, r_ans).
+    ``r_graph`` (``r_web``) is 1 iff every gold answer has an alias in the
+    normalized, joined neighbor_information (web_information) contents."""
     gold_sets = _gold_sets(gold)
-    format_ok, r_ans, r_acc = _accuracy(traj, gold_sets)
-    o_graph = _concat_info(traj, NEIGHBOR_INFORMATION)
-    o_web = _concat_info(traj, WEB_INFORMATION)
-    r_graph = _covers(o_graph, gold_sets)
-    r_web = _covers(o_web, gold_sets)
-    r_over = overall_reward(r_acc, r_graph, r_web, coverage)
+    format_ok = validate_format(traj).valid
+    r_ans = _f1(set(answer_items(traj)), gold_sets)
+    r_acc = max(0.1, r_ans) if format_ok else 0.0
+    r_graph = _covers(_concat_info(traj, NEIGHBOR_INFORMATION), gold_sets)
+    r_web = _covers(_concat_info(traj, WEB_INFORMATION), gold_sets)
     return RewardBreakdown(
         format_ok=format_ok,
         r_ans=r_ans,
         r_acc=r_acc,
         r_graph=r_graph,
         r_web=r_web,
-        r_over=r_over,
-        o_graph=o_graph,
-        o_web=o_web,
+        r_over=overall_reward(r_acc, r_graph, r_web, coverage),
     )
 
 
@@ -181,15 +152,17 @@ def score_record(question_id: str, breakdown: RewardBreakdown, coverage: str) ->
 
 
 def read_scores(path: str | Path) -> list[dict]:
-    """Read a JSON-lines score file as written by ``score``. Each record
-    needs a text ``id`` and a numeric ``R_over``; anything else is a
-    ``ValueError`` naming the file and line."""
+    """Read a JSON-lines score file as written by ``score``. Each record needs
+    a text ``id`` and an ``R_over`` that is a finite float or an int in float
+    range; anything else is a ``ValueError`` naming the file and line."""
     def record(rec: dict) -> dict:
         qid, r_over = rec["id"], rec["R_over"]
         if not isinstance(qid, str):
             raise ValueError(f"'id' must be text, got {qid!r}")
         if isinstance(r_over, bool) or not isinstance(r_over, (int, float)):
             raise ValueError(f"'R_over' must be a number, got {r_over!r}")
+        if not abs(r_over) <= sys.float_info.max:  # NaN, infinity, or an int no float holds
+            raise ValueError(f"'R_over' must be a finite float, got {r_over!r}")
         return rec
 
     return list(read_jsonl(path, ValueError, "score record", record))

@@ -18,7 +18,7 @@ from kgqa_env.kg import load_triples, sample_ikg
 from kgqa_env.plan import Inter, Negation, Union, eval_expr, execution_order, expr_dependencies, parse_plan
 from kgqa_env.policies import ScriptedOracle
 from kgqa_env.qa import load_qa
-from kgqa_env.rewards import accuracy_reward, answer_f1, group_advantages, overall_reward
+from kgqa_env.rewards import group_advantages, overall_reward, score_trajectory
 from kgqa_env.rollout import RolloutConfig, run_rollout
 from kgqa_env.trajectory import (
     INFO_TAGS,
@@ -105,16 +105,14 @@ def test_criterion_2_answer_f1_against_brute_force():
                 tuple({rng.choice(universe) for _ in range(rng.randint(1, 3))})
                 for _ in range(rng.randint(0, 5))
             )
-            got = answer_f1(pred, gold)
-            assert abs(got - oracle_f1(pred, gold)) <= 1e-12
             traj = parse_trajectory("<plan>P</plan><answer>" + "; ".join(sorted(pred)) + "</answer>")
-            format_ok, r_ans, r_acc = accuracy_reward(traj, gold)
-            assert format_ok
-            assert abs(r_ans - got) <= 1e-12
-            if r_ans < 0.1:
-                assert r_acc == 0.1
+            bd = score_trajectory(traj, gold, "CKG")
+            assert bd.format_ok
+            assert abs(bd.r_ans - oracle_f1(pred, gold)) <= 1e-12
+            if bd.r_ans < 0.1:
+                assert bd.r_acc == 0.1
             else:
-                assert r_acc == r_ans
+                assert bd.r_acc == bd.r_ans
 
 
 def test_criterion_3_oracle_end_to_end_on_toy_suite():

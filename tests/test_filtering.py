@@ -18,7 +18,7 @@ from kgqa_env.filtering import (
     judge_plan,
     sft_record,
 )
-from kgqa_env.rewards import accuracy_reward
+from kgqa_env.rewards import score_trajectory
 from kgqa_env.trajectory import parse_trajectory, retrieval_mask
 
 PLAN = "<plan>S1: Ans(country | currency_of(Iranian rial, ?))</plan>"
@@ -72,21 +72,13 @@ class TestFixtureSuite:
         traj = parse_trajectory(SUITE[0][1])
         verdict = filter_trajectory(traj, tk1_example, "CKG", RuleJudge())
         assert verdict.keep
-        _, _, r_acc = accuracy_reward(traj, tk1_example.answers)
-        assert r_acc == 1.0
+        assert score_trajectory(traj, tk1_example.answers, "CKG").r_acc == 1.0
 
     def test_missing_plan_block_fails_plan_judge_too(self, tk1_example):
         traj = parse_trajectory(KG_HIT + GOOD)
         verdict = filter_trajectory(traj, tk1_example, "CKG", RuleJudge())
         assert FORMAT in verdict.failed_checks
         assert PLAN_JUDGE in verdict.failed_checks
-
-    def test_answer_threshold_knob(self, tk1_example):
-        traj = parse_trajectory(PLAN + KG_HIT + "<answer>Iran; Sweden</answer>")
-        strict = filter_trajectory(traj, tk1_example, "CKG", RuleJudge())
-        assert ANSWER_CHECK in strict.failed_checks
-        loose = filter_trajectory(traj, tk1_example, "CKG", RuleJudge(), answer_threshold=0.5)
-        assert ANSWER_CHECK not in loose.failed_checks
 
     def test_blank_plan_fails_plan_judge(self, tk1_example):
         example = dataclasses.replace(tk1_example, topic_entities=())

@@ -35,6 +35,14 @@ class TestJsonLines:
         with pytest.raises(ValueError, match=f"line 2 of {path}"):
             read_scores(path)
 
+    @pytest.mark.parametrize("r_over,shown", [("NaN", "nan"), ("Infinity", "inf"), ("1" + "0" * 400, "10+")],
+                             ids=["nan", "infinity", "huge-int"])
+    def test_scores_file_reward_no_float_holds_names_file_and_line(self, tmp_path, r_over, shown):
+        path = tmp_path / "scores.jsonl"
+        path.write_text('{"id": "q", "R_over": 1.0}\n{"id": "q", "R_over": ' + r_over + "}\n")
+        with pytest.raises(ValueError, match=f"line 2 of {path}: 'R_over' must be a finite float, got {shown}$"):
+            read_scores(path)
+
     def test_trajectory_file_bad_json_names_file_and_line(self, tmp_path):
         path = tmp_path / "traj.jsonl"
         path.write_text(GOOD_TRAJ + "\nnot json\n")

@@ -1,7 +1,7 @@
 import pytest
 
 from kgqa_env.kg import Triple
-from kgqa_env.qa import QAError, QAExample, load_qa, write_qa
+from kgqa_env.qa import QAError, QAExample, load_qa
 
 
 def test_round_trip(tmp_path):
@@ -14,7 +14,11 @@ def test_round_trip(tmp_path):
         plan="S1: Ans(country | currency_of(Iranian rial, ?))",
     )
     path = tmp_path / "qa.jsonl"
-    write_qa([ex], path)
+    path.write_text(
+        '{"id": "q1", "question": "What country uses the Iranian rial?", "topic_entities": ["Iranian_rial"], '
+        '"answers": [["Iran", "Islamic Republic of Iran"]], "critical_triples": [["Iranian_rial", "currency_of", "Iran"]], '
+        '"plan": "S1: Ans(country | currency_of(Iranian rial, ?))"}\n'
+    )
     assert load_qa(path) == [ex]
 
 

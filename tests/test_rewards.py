@@ -23,18 +23,29 @@ from kgqa_env.filtering import (
 from kgqa_env.qa import QAExample
 from kgqa_env.rewards import (
     RewardBreakdown,
-    accuracy_reward,
-    answer_f1,
-    graph_reward,
     group_advantages,
     group_score_records,
     overall_reward,
     score_trajectory,
-    web_reward,
 )
 from kgqa_env.trajectory import parse_trajectory, validate_format
 
 GOLD_IRAN = (("Iran", "Islamic Republic of Iran"),)
+
+
+def _r_ans(pred, gold):
+    """``r_ans`` of a well-formed trajectory that answers the items of
+    ``pred``."""
+    traj = parse_trajectory("<plan>P</plan><answer>" + "; ".join(sorted(pred)) + "</answer>")
+    return score_trajectory(traj, gold, "CKG").r_ans
+
+
+def _r_graph(traj, gold):
+    return score_trajectory(traj, gold, "CKG").r_graph
+
+
+def _r_web(traj, gold):
+    return score_trajectory(traj, gold, "CKG").r_web
 
 
 def _f1_oracle(pred, gold):
@@ -69,26 +80,26 @@ def _f1_oracle(pred, gold):
 
 class TestAnswerF1:
     def test_exact_alias_match(self):
-        assert answer_f1({"iran"}, GOLD_IRAN) == 1.0
+        assert _r_ans({"iran"}, GOLD_IRAN) == 1.0
 
     def test_empty_prediction(self):
-        assert answer_f1(set(), GOLD_IRAN) == 0.0
+        assert _r_ans(set(), GOLD_IRAN) == 0.0
 
     def test_empty_gold(self):
-        assert answer_f1({"iran"}, ()) == 0.0
+        assert _r_ans({"iran"}, ()) == 0.0
 
     def test_hand_computed_partial(self):
-        assert answer_f1({"a", "b"}, (("a",),)) == pytest.approx(2 / 3, abs=1e-12)
+        assert _r_ans({"a", "b"}, (("a",),)) == pytest.approx(2 / 3, abs=1e-12)
 
     def test_symmetry_under_reordering(self):
         gold = (("a", "x"), ("b",), ("c",))
         pred = {"b", "c", "zzz"}
         reordered = tuple(reversed(gold))
-        assert answer_f1(pred, gold) == answer_f1(pred, reordered)
+        assert _r_ans(pred, gold) == _r_ans(pred, reordered)
 
     def test_identity_on_matching_sets(self):
         xs = {"a", "b", "c"}
-        assert answer_f1(xs, tuple((x,) for x in xs)) == 1.0
+        assert _r_ans(xs, tuple((x,) for x in xs)) == 1.0
 
     def test_randomized_against_brute_force(self):
         rng = random.Random(42)
@@ -99,30 +110,30 @@ class TestAnswerF1:
                 tuple({rng.choice(universe) for _ in range(rng.randint(1, 3))})
                 for _ in range(rng.randint(0, 4))
             )
-            assert abs(answer_f1(pred, gold) - _f1_oracle(pred, gold)) <= 1e-12
+            assert abs(_r_ans(pred, gold) - _f1_oracle(pred, gold)) <= 1e-12
 
 
 class TestAccuracyReward:
     def test_invalid_format_zeroes_even_perfect_answers(self):
         traj = parse_trajectory("<plan>a</plan><plan>b</plan><answer>Iran</answer>")
-        format_ok, r_ans, r_acc = accuracy_reward(traj, GOLD_IRAN)
-        assert not format_ok and r_ans == 1.0 and r_acc == 0.0
+        bd = score_trajectory(traj, GOLD_IRAN, "CKG")
+        assert not bd.format_ok and bd.r_ans == 1.0 and bd.r_acc == 0.0
 
     def test_valid_format_floors_at_point_one(self):
         traj = parse_trajectory("<plan>P</plan><answer>wrong</answer>")
-        format_ok, r_ans, r_acc = accuracy_reward(traj, GOLD_IRAN)
-        assert format_ok and r_ans == 0.0 and r_acc == 0.1
+        bd = score_trajectory(traj, GOLD_IRAN, "CKG")
+        assert bd.format_ok and bd.r_ans == 0.0 and bd.r_acc == 0.1
 
     def test_valid_format_passes_f1_through(self):
         traj = parse_trajectory("<plan>P</plan><answer>a; b</answer>")
-        format_ok, r_ans, r_acc = accuracy_reward(traj, (("a",),))
-        assert format_ok and r_acc == pytest.approx(2 / 3, abs=1e-12)
+        bd = score_trajectory(traj, (("a",),), "CKG")
+        assert bd.format_ok and bd.r_acc == pytest.approx(2 / 3, abs=1e-12)
 
     def test_small_f1_still_floors(self):
         preds = "; ".join(["a"] + [f"junk{i}" for i in range(29)])
         traj = parse_trajectory(f"<plan>P</plan><answer>{preds}</answer>")
-        format_ok, r_ans, r_acc = accuracy_reward(traj, (("a",),))
-        assert format_ok and 0 < r_ans < 0.1 and r_acc == 0.1
+        bd = score_trajectory(traj, (("a",),), "CKG")
+        assert bd.format_ok and 0 < bd.r_ans < 0.1 and bd.r_acc == 0.1
 
 
 class TestRetrievalRewards:
@@ -131,33 +142,33 @@ class TestRetrievalRewards:
             "<neighbor_search>a | r</neighbor_search>"
             "<neighbor_information>Known for: Harold Ramis.</neighbor_information>"
         )
-        assert graph_reward(traj, (("harold ramis",),)) == 1
+        assert _r_graph(traj, (("harold ramis",),)) == 1
 
     def test_graph_empty_when_no_blocks(self):
-        assert graph_reward(parse_trajectory("<answer>a</answer>"), (("a",),)) == 0
+        assert _r_graph(parse_trajectory("<answer>a</answer>"), (("a",),)) == 0
 
     def test_graph_needs_every_gold_answer(self):
         traj = parse_trajectory(
             "<neighbor_search>x | r</neighbor_search><neighbor_information>a</neighbor_information>"
         )
-        assert graph_reward(traj, (("a",), ("b",))) == 0
+        assert _r_graph(traj, (("a",), ("b",))) == 0
 
     def test_web_split_across_snippets_counts(self):
         traj = parse_trajectory(
             "<web_search>x | r</web_search><web_information>first has a</web_information>"
             "<web_search>x | r</web_search><web_information>second has b</web_information>"
         )
-        assert web_reward(traj, (("a",), ("b",))) == 1
+        assert _r_web(traj, (("a",), ("b",))) == 1
 
     def test_web_empty_when_no_blocks(self):
-        assert web_reward(parse_trajectory("<answer>a</answer>"), (("a",),)) == 0
+        assert _r_web(parse_trajectory("<answer>a</answer>"), (("a",),)) == 0
 
     def test_monotone_adding_blocks_never_flips_off(self):
         base = "<neighbor_search>x | r</neighbor_search><neighbor_information>a</neighbor_information>"
         extra = base + "<neighbor_search>y | r</neighbor_search><neighbor_information>junk</neighbor_information>"
         gold = (("a",),)
-        assert graph_reward(parse_trajectory(base), gold) == 1
-        assert graph_reward(parse_trajectory(extra), gold) == 1
+        assert _r_graph(parse_trajectory(base), gold) == 1
+        assert _r_graph(parse_trajectory(extra), gold) == 1
 
 
 EXPECTED_TABLE = {
@@ -206,7 +217,6 @@ class TestScoreTrajectory:
         bd = score_trajectory(parse_trajectory(text), GOLD_IRAN, "CKG")
         assert bd.format_ok and bd.r_ans == 1.0 and bd.r_acc == 1.0
         assert bd.r_graph == 1 and bd.r_web == 0 and bd.r_over == 1.0
-        assert "Iran" in bd.o_graph and bd.o_web == ""
 
 
 class TestAdvantages:
@@ -267,9 +277,11 @@ class TestGrouping:
 # A standalone copy of the scorer and filter as they were before scoring
 # shared its normalized aliases: regex whitespace collapse after an ASCII
 # strip, a nested-loop F1 and one normalization of the joined information
-# text per gold alias. The two normalizations agree on ASCII text without
-# the separators \x1c-\x1f, which is what the strategies draw; the Unicode
-# edge whitespace they differ on is covered by the hand-written cases above.
+# text per gold alias. The copy's filter, like the real one, passes ANSWER
+# only on an exact answer-set match (F1 = 1). The two normalizations agree
+# on ASCII text without the separators \x1c-\x1f, which is what the
+# strategies draw; the Unicode edge whitespace they differ on is covered by
+# the hand-written cases above.
 
 def _old_normalize(text):
     return re.sub(r"\s+", " ", text.strip(string.punctuation + string.whitespace)).lower()
@@ -316,17 +328,16 @@ def _old_score(traj, gold, coverage):
     format_ok = validate_format(traj).valid
     r_ans = _old_f1(set(_old_items(traj)), gold)
     r_acc = max(0.1, r_ans) if format_ok else 0.0
-    o_graph, o_web = _old_joined(traj, "neighbor_information"), _old_joined(traj, "web_information")
-    r_graph, r_web = _old_covers(o_graph, gold), _old_covers(o_web, gold)
-    return RewardBreakdown(format_ok, r_ans, r_acc, r_graph, r_web,
-                           overall_reward(r_acc, r_graph, r_web, coverage), o_graph, o_web)
+    r_graph = _old_covers(_old_joined(traj, "neighbor_information"), gold)
+    r_web = _old_covers(_old_joined(traj, "web_information"), gold)
+    return RewardBreakdown(format_ok, r_ans, r_acc, r_graph, r_web, overall_reward(r_acc, r_graph, r_web, coverage))
 
 
-def _old_filter(traj, example, coverage, answer_threshold):
+def _old_filter(traj, example, coverage):
     failed = []
     if not validate_format(traj).valid:
         failed.append(FORMAT)
-    if _old_f1(set(_old_items(traj)), example.answers) < answer_threshold:
+    if _old_f1(set(_old_items(traj)), example.answers) < 1.0:
         failed.append(ANSWER_CHECK)
     has_web = bool(traj.blocks("web_search"))
     if coverage == "CKG":
@@ -384,20 +395,29 @@ def _reward_cases(draw):
 
 class TestAgainstQuadraticOracle:
     @settings(max_examples=400, deadline=None)
-    @given(case=_reward_cases(), coverage=st.sampled_from(["CKG", "IKG"]), threshold=st.sampled_from([1.0, 0.5]))
-    def test_score_and_filter_equal_the_brute_force_copy(self, case, coverage, threshold):
+    @given(case=_reward_cases(), coverage=st.sampled_from(["CKG", "IKG"]))
+    def test_score_and_filter_equal_the_brute_force_copy(self, case, coverage):
         traj, gold = case
         example = QAExample("q", "Which country uses the Iranian rial?", ("Iranian_rial",), gold)
-        assert score_trajectory(traj, gold, coverage) == _old_score(traj, gold, coverage)
-        assert filter_trajectory(traj, example, coverage, RuleJudge(), threshold) == \
-            _old_filter(traj, example, coverage, threshold)
+        bd = score_trajectory(traj, gold, coverage)
+        verdict = filter_trajectory(traj, example, coverage, RuleJudge())
+        assert bd == _old_score(traj, gold, coverage)
+        assert verdict == _old_filter(traj, example, coverage)
+        # the filter's checks agree with the scorer's breakdown of the same trajectory
+        failed = verdict.failed_checks
+        assert (FORMAT in failed) == (not bd.format_ok)
+        assert (ANSWER_CHECK in failed) == (bd.r_ans < 1)
+        if coverage == "CKG":
+            assert (RETRIEVAL_CKG_GRAPH_MISS in failed) == (bd.r_graph == 0)
+        elif traj.blocks("web_search"):
+            assert (RETRIEVAL_IKG_WEB_MISS in failed) == (bd.r_web == 0)
 
 
 class TestUnicodeEdgeWhitespace:
     def test_f1_matches_an_alias_with_a_trailing_no_break_space(self):
-        assert answer_f1({"Iran"}, (("Iran\u00a0",),)) == 1.0
+        assert _r_ans({"Iran"}, (("Iran\u00a0",),)) == 1.0
 
     def test_web_reward_finds_an_alias_with_edge_unicode_whitespace(self):
         traj = parse_trajectory("<plan>P</plan><web_search>q</web_search><web_information>Iran</web_information>")
-        assert web_reward(traj, (("Iran\u00a0",),)) == 1
-        assert web_reward(traj, (("\u2003Iran\x85",),)) == 1
+        assert _r_web(traj, (("Iran\u00a0",),)) == 1
+        assert _r_web(traj, (("\u2003Iran\x85",),)) == 1

@@ -6,6 +6,10 @@ over config values, which win over built-in defaults. Keys a subcommand does
 not know are ignored so one config file can drive a whole pipeline.
 ``sample-ikg`` is the only randomized subcommand, and the only one with
 ``--seed``.
+
+A URL selects a remote backend (``--policy-url``, ``--web-url``,
+``--judge-url``); without one the scripted oracle, the offline
+``--web-corpus`` and the rule judge run.
 """
 
 from __future__ import annotations
@@ -67,11 +71,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, Commands]:
     arg("--kg", required=True)
     arg("--aliases", default=None)
     arg("--qa", required=True)
-    arg("--policy", choices=["scripted", "remote"], default="scripted")
-    arg("--policy-url", default=None)
-    arg("--web", choices=["offline", "remote"], default="offline")
-    arg("--web-corpus", default=None)
-    arg("--web-url", default=None)
+    arg("--policy-url", default=None, help="generation server; without one the scripted oracle runs")
+    arg("--web-corpus", default=None, help="offline web corpus, searched when no --web-url is given")
+    arg("--web-url", default=None, help="web search server; wins over --web-corpus")
     arg("--out", required=True)
     arg("--masks", default=None, help="also write retrieval-mask spans here")
     arg("--max-iters", type=int, default=10)
@@ -85,17 +87,15 @@ def build_parser() -> tuple[argparse.ArgumentParser, Commands]:
     arg("--ikg-log", required=True)
     arg("--out", required=True)
 
-    arg = command("advantages", cmd_advantages, "group-relative advantages from a score file")
+    arg = command("advantages", cmd_advantages, "group-relative advantages of each run of same-id score records")
     arg("--scores", required=True)
-    arg("--group-size", type=int, default=rewards.DEFAULT_GROUP_SIZE)
     arg("--out", required=True)
 
     arg = command("filter-sft", cmd_filter_sft, "filter trajectories into an SFT training file")
     arg("--traj", required=True)
     arg("--qa", required=True)
     arg("--ikg-log", required=True)
-    arg("--judge", choices=["rule", "remote"], default="rule")
-    arg("--judge-url", default=None)
+    arg("--judge-url", default=None, help="plan judge server; without one the rule judge scores plans")
     arg("--out", required=True)
 
     arg = command("eval", cmd_eval, "Hits@1 and web-usage report")
@@ -119,6 +119,10 @@ def _load_config(path: str) -> dict[str, str]:
     return values
 
 
+#: The values a config file may give a store-true key, in any case.
+_BOOLEANS = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(("0", "false", "no", "off"), False)
+
+
 def _apply_config(parser: argparse.ArgumentParser, commands: Commands, argv: list[str]) -> argparse.Namespace:
     """Two-pass parse: pick up --config alone (a full parse would reject
     missing required flags the config provides), turn its values into
@@ -138,7 +142,9 @@ def _apply_config(parser: argparse.ArgumentParser, commands: Commands, argv: lis
         if key in values:
             raw = values[key]
             if action.nargs == 0:  # store_true: the flag takes no value
-                defaults[action.dest] = raw.lower() in ("1", "true", "yes", "on")
+                if raw.lower() not in _BOOLEANS:
+                    raise ValueError(f"config key {key!r} must be one of {', '.join(_BOOLEANS)}, got {raw!r}")
+                defaults[action.dest] = _BOOLEANS[raw.lower()]
             else:
                 defaults[action.dest] = action.type(raw) if action.type else raw
             action.required = False
@@ -147,29 +153,11 @@ def _apply_config(parser: argparse.ArgumentParser, commands: Commands, argv: lis
 
 
 def _make_web(args: argparse.Namespace):
-    if args.web == "offline":
-        if not args.web_corpus:
-            raise WebToolError("--web offline requires --web-corpus PATH")
-        return OfflineWebTool.from_path(args.web_corpus)
-    if not args.web_url:
-        raise WebToolError("--web remote requires --web-url URL")
-    return RemoteWebTool(args.web_url)
-
-
-def _make_policy(args: argparse.Namespace):
-    if args.policy == "scripted":
-        return ScriptedOracle()
-    if not args.policy_url:
-        raise RolloutError("--policy remote requires --policy-url URL")
-    return RemotePolicy(args.policy_url)
-
-
-def _make_judge(args: argparse.Namespace) -> filtering.Judge:
-    if args.judge == "rule":
-        return filtering.RuleJudge()
-    if not args.judge_url:
-        raise filtering.JudgeError("--judge remote requires --judge-url URL")
-    return filtering.RemoteJudge(args.judge_url)
+    if args.web_url:
+        return RemoteWebTool(args.web_url)
+    if not args.web_corpus:
+        raise WebToolError("rollout needs --web-corpus PATH or --web-url URL")
+    return OfflineWebTool.from_path(args.web_corpus)
 
 
 def _labelled(args: argparse.Namespace) -> Iterator[tuple[Trajectory, QAExample, str]]:
@@ -221,7 +209,7 @@ def cmd_rollout(args: argparse.Namespace) -> int:
     kg = load_triples(args.kg, args.aliases)
     qa = load_qa(args.qa)
     web = _make_web(args)
-    policy = _make_policy(args)
+    policy = RemotePolicy(args.policy_url) if args.policy_url else ScriptedOracle()
     cfg = RolloutConfig(
         max_iterations=args.max_iters,
         top_k_relations=args.top_k_relations,
@@ -248,14 +236,14 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 def cmd_advantages(args: argparse.Namespace) -> int:
     records = rewards.read_scores(args.scores)
-    groups = rewards.group_score_records(records, args.group_size)
+    groups = rewards.group_score_records(records)
     write_jsonl(groups, args.out)
     print(json.dumps({"groups": len(groups)}))
     return 0
 
 
 def cmd_filter_sft(args: argparse.Namespace) -> int:
-    judge = _make_judge(args)
+    judge = filtering.RemoteJudge(args.judge_url) if args.judge_url else filtering.RuleJudge()
     kept, dropped = [], 0
     for traj, ex, label in _labelled(args):
         if filtering.filter_trajectory(traj, ex, label, judge).keep:

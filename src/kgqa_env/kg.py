@@ -371,16 +371,23 @@ def write_removal_log(log: RemovalLog, path: str | Path) -> None:
 
 def read_removal_log(path: str | Path) -> RemovalLog:
     """Read a JSON-lines removal log. Ids are read as text, as in the QA
-    and trajectory files; a coverage label must agree with the record's
-    removals, else :class:`KGError` names the file and line."""
+    and trajectory files; an id may appear once, and a coverage label must
+    agree with the record's removals, else :class:`KGError` names the file
+    and line."""
+    seen: set[str] = set()
+
     def record(rec: dict) -> tuple[str, list[Triple]]:
+        qid = str(rec["id"])
+        if qid in seen:
+            raise ValueError(f"duplicate question id {qid!r}")
+        seen.add(qid)
         label = rec["coverage"]
         if label not in (COVERAGE_CKG, COVERAGE_IKG):
             raise ValueError(f"unknown coverage label {label!r}")
         removed = [Triple(*json_list(t, "removed")) for t in json_list(rec["removed"], "removed")]
         if label != _coverage(removed):
             raise ValueError(f"coverage label {label!r} disagrees with {len(removed)} removed triples")
-        return str(rec["id"]), removed
+        return qid, removed
 
     return RemovalLog(dict(read_jsonl(path, KGError, "removal-log record", record)))
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 from .jsonio import json_list, read_jsonl
 from .kg import Triple
+from .text import _STRIP_CHARS
 
 
 class QAError(Exception):
@@ -31,7 +32,11 @@ class QAExample:
 def load_qa(path: str | Path) -> list[QAExample]:
     """Load a JSON-lines QA file. Each line carries
     {"id", "question", "topic_entities", "answers", "critical_triples"}
-    plus an optional "plan" (text or null)."""
+    plus an optional "plan" (text or null).
+
+    A question without gold answers, or with a gold answer whose every
+    alias is blank or punctuation only, is a :class:`QAError` naming the
+    file and line: no trajectory could score answer F1 1 on it."""
     seen: set[str] = set()
 
     def example(rec: dict) -> QAExample:
@@ -47,6 +52,11 @@ def load_qa(path: str | Path) -> list[QAExample]:
             critical_triples=tuple(Triple(*(str(x) for x in json_list(t, "critical_triples"))) for t in triples),
             plan=plan,
         )
+        if not ex.answers:
+            raise ValueError("'answers' is empty")
+        for aliases in ex.answers:
+            if not any(a.strip(_STRIP_CHARS) for a in aliases):
+                raise ValueError(f"gold answer {list(aliases)!r} has no alias that is not blank or punctuation")
         if ex.id in seen:
             raise ValueError(f"duplicate question id {ex.id!r}")
         seen.add(ex.id)

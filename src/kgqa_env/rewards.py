@@ -18,6 +18,7 @@ cached across calls.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -36,7 +37,6 @@ from .trajectory import (
 )
 
 ADVANTAGE_EPS = 1e-8
-DEFAULT_GROUP_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -168,20 +168,14 @@ def read_scores(path: str | Path) -> list[dict]:
     return list(read_jsonl(path, ValueError, "score record", record))
 
 
-def group_score_records(records: Sequence[dict], group_size: int = DEFAULT_GROUP_SIZE) -> list[dict]:
-    """Group score records into advantage records: consecutive records with
-    the same question id form a group, chunked to at most ``group_size``
-    rollouts per group."""
-    if group_size < 1:
-        raise ValueError(f"group size must be >= 1, got {group_size}")
-    groups: list[tuple[str, list[dict]]] = []
-    for rec in records:
-        if groups and groups[-1][0] == rec["id"] and len(groups[-1][1]) < group_size:
-            groups[-1][1].append(rec)
-        else:
-            groups.append((rec["id"], [rec]))
+def group_score_records(records: Sequence[dict]) -> list[dict]:
+    """Group score records into advantage records, in file order. A group is
+    one maximal run of consecutive records with the same question id: the
+    samples of one question, as ``rollout`` writes them, however many there
+    are. Records of one id that other ids separate form separate groups."""
     out = []
-    for qid, members in groups:
+    for qid, run in itertools.groupby(records, key=lambda rec: rec["id"]):
+        members = list(run)
         rewards = [float(m["R_over"]) for m in members]
         out.append({
             "id": qid,

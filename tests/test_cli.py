@@ -53,8 +53,8 @@ class TestPipeline:
         traj = tmp_path / "traj.jsonl"
         masks = tmp_path / "masks.jsonl"
         rc, _, _ = run(capsys, "rollout", "--kg", str(ikg_kg), "--aliases", str(TOY_ALIASES),
-                       "--qa", str(TOY_QA), "--policy", "scripted", "--web", "offline",
-                       "--web-corpus", str(TOY_WEB_CORPUS), "--out", str(traj), "--masks", str(masks))
+                       "--qa", str(TOY_QA), "--web-corpus", str(TOY_WEB_CORPUS),
+                       "--out", str(traj), "--masks", str(masks))
         assert rc == 0
         return tmp_path
 
@@ -78,7 +78,7 @@ class TestPipeline:
         assert all(r["coverage"] == "IKG" for r in recs)  # every toy question loses a triple at 0.4
 
         adv = workdir / "adv.jsonl"
-        rc, _, _ = run(capsys, "advantages", "--scores", str(scores), "--group-size", "8", "--out", str(adv))
+        rc, _, _ = run(capsys, "advantages", "--scores", str(scores), "--out", str(adv))
         assert rc == 0
         groups = [json.loads(l) for l in adv.read_text().splitlines()]
         assert all(set(g) == {"id", "group", "rewards", "advantages"} for g in groups)
@@ -86,7 +86,7 @@ class TestPipeline:
 
         sft = workdir / "sft.jsonl"
         rc, stdout, _ = run(capsys, "filter-sft", "--traj", str(workdir / "traj.jsonl"), "--qa", str(TOY_QA),
-                            "--ikg-log", str(workdir / "ikg.jsonl"), "--judge", "rule", "--out", str(sft))
+                            "--ikg-log", str(workdir / "ikg.jsonl"), "--out", str(sft))
         assert rc == 0
         summary = json.loads(stdout)
         assert summary["kept"] + summary["dropped"] == 25
@@ -157,6 +157,17 @@ class TestConfigFile:
         parser, commands = build_parser()
         assert _apply_config(parser, commands, base).strict_format is False
 
+    @pytest.mark.parametrize("value", ["maybe", "", "2"])
+    def test_store_true_key_takes_only_a_boolean(self, capsys, tmp_path, value):
+        config = tmp_path / "run.conf"
+        config.write_text(f"strict-format={value}\n")
+        rc, _, stderr = run(capsys, "rollout", "--kg", str(TOY_KG), "--qa", str(TOY_QA),
+                            "--web-corpus", str(TOY_WEB_CORPUS), "--config", str(config),
+                            "--out", str(tmp_path / "t.jsonl"))
+        assert rc == 1
+        assert stderr.startswith("error: config key 'strict-format' must be one of")
+        assert f"got {value!r}" in stderr
+
     def test_malformed_config_line(self, capsys, tmp_path):
         config = tmp_path / "bad.conf"
         config.write_text("this is not a pair\n")
@@ -176,7 +187,7 @@ class TestRolloutFlags:
     def test_blank_recorded_plan_is_reported(self, capsys, tmp_path):
         qa = tmp_path / "qa.jsonl"
         qa.write_text('{"id": "q", "question": "?", "topic_entities": [], "answers": [["a"]], "plan": "  \\n"}\n')
-        rc, _, stderr = run(capsys, "rollout", "--kg", str(TOY_KG), "--qa", str(qa), "--web", "offline",
+        rc, _, stderr = run(capsys, "rollout", "--kg", str(TOY_KG), "--qa", str(qa),
                             "--web-corpus", str(TOY_WEB_CORPUS), "--out", str(tmp_path / "t.jsonl"))
         assert rc == 1
         assert "no sub-questions" in stderr
@@ -190,7 +201,7 @@ class TestRolloutFlags:
     ])
     def test_counts_below_one_are_reported(self, capsys, tmp_path, flag, value, field):
         out = tmp_path / "t.jsonl"
-        rc, _, stderr = run(capsys, "rollout", "--kg", str(TOY_KG), "--qa", str(TOY_QA), "--web", "offline",
+        rc, _, stderr = run(capsys, "rollout", "--kg", str(TOY_KG), "--qa", str(TOY_QA),
                             "--web-corpus", str(TOY_WEB_CORPUS), flag, value, "--out", str(out))
         assert rc == 1
         assert f"error: {field} must be >= 1, got {value}" in stderr
@@ -211,12 +222,71 @@ class TestAdvantagesFlags:
         assert f"malformed score record at line 2 of {scores}: {complaint}" in stderr
 
 
-class TestFilterFlags:
-    def test_remote_judge_requires_url(self, capsys, tmp_path):
-        rc, _, stderr = run(capsys, "filter-sft", "--traj", "t", "--qa", "q", "--ikg-log", "l",
-                            "--judge", "remote", "--out", str(tmp_path / "sft.jsonl"))
-        assert rc == 1
-        assert "judge-url" in stderr
+class TestRemoteBackends:
+    """A URL flag selects the remote backend; the stub server records what
+    each one sends."""
+
+    def test_rollout_sends_segments_and_web_queries(self, capsys, tmp_path, stub_server):
+        script = iter(["<plan>S1: Ans(country | currency_of(Iranian rial, ?))</plan>",
+                       "<web_search>Iranian rial | currency_of</web_search>",
+                       "<answer>Iran</answer>"])
+        stub_server.route("/policy", lambda body: (200, {"segment": next(script)}))
+        stub_server.route("/web", lambda body: (200, {"snippets": ["The Iranian rial is the currency of Iran."]}))
+        kg, qa = self._inputs(tmp_path)
+        out = tmp_path / "t.jsonl"
+        rc, stdout, stderr = run(capsys, "rollout", "--kg", kg, "--qa", qa, "--policy-url", stub_server.url("/policy"),
+                                 "--web-url", stub_server.url("/web"), "--out", str(out))
+        assert rc == 0, stderr
+        assert json.loads(stdout) == {"questions": 1, "trajectories": 1}
+        paths = [path for path, _ in stub_server.requests]
+        assert paths == ["/policy", "/policy", "/web", "/policy"]
+        assert stub_server.requests[2][1] == {"query": "iranian rial currency_of", "k": 3}
+        [rec] = [json.loads(line) for line in out.read_text().splitlines()]
+        assert "The Iranian rial is the currency of Iran." in rec["text"]
+        assert rec["text"].endswith("<answer>Iran</answer>")
+
+    def test_web_url_wins_over_web_corpus(self, capsys, tmp_path, stub_server):
+        # the scripted oracle searches the web: the graph lacks the plan's hop
+        stub_server.route("/web", lambda body: (200, {"snippets": ["from the server"]}))
+        kg, qa = self._inputs(tmp_path)
+        config = tmp_path / "run.conf"
+        config.write_text(f"web-corpus={TOY_WEB_CORPUS}\n")
+        out = tmp_path / "t.jsonl"
+        rc, _, stderr = run(capsys, "rollout", "--kg", kg, "--qa", qa, "--config", str(config),
+                            "--web-url", stub_server.url("/web"), "--out", str(out))
+        assert rc == 0, stderr
+        assert [path for path, _ in stub_server.requests] == ["/web"]
+        assert "from the server" in out.read_text()
+
+    def test_filter_sft_posts_the_plan_to_the_judge(self, capsys, tmp_path, stub_server):
+        stub_server.route("/judge", lambda body: (200, {"score": 1}))
+        plan = "S1: Ans(country | currency_of(Iranian rial, ?))"
+        traj, log = tmp_path / "t.jsonl", tmp_path / "log.jsonl"
+        traj.write_text(json.dumps({"id": "q", "text": f"<plan>{plan}</plan>\n<answer>Iran</answer>"}) + "\n")
+        log.write_text('{"id": "q", "removed": [], "coverage": "CKG"}\n')
+        rc, _, stderr = run(capsys, "filter-sft", "--traj", str(traj), "--qa", self._inputs(tmp_path)[1],
+                            "--ikg-log", str(log), "--judge-url", stub_server.url("/judge"),
+                            "--out", str(tmp_path / "sft.jsonl"))
+        assert rc == 0, stderr
+        assert stub_server.requests == [("/judge", {"question": "What country uses the Iranian rial?", "plan": plan})]
+
+    @staticmethod
+    def _inputs(tmp_path):
+        """A graph without the currency hop, and one question whose recorded plan takes it."""
+        kg, qa = tmp_path / "kg.tsv", tmp_path / "qa.jsonl"
+        kg.write_text("Iranian_rial\tissued_by\tCentral_Bank_of_Iran\n")
+        qa.write_text(json.dumps({"id": "q", "question": "What country uses the Iranian rial?",
+                                  "topic_entities": ["Iranian_rial"], "answers": [["Iran"]],
+                                  "plan": "S1: Ans(country | currency_of(Iranian rial, ?))"}) + "\n")
+        return str(kg), str(qa)
+
+
+@pytest.mark.parametrize("command", list(build_parser()[1]))
+def test_every_subcommand_formats_its_help(capsys, command):
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--help"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: kgqa {command}")
 
 
 def test_module_entry_point():

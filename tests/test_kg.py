@@ -106,6 +106,13 @@ class TestLoad:
         with pytest.raises(KGError, match=f"line 1 of {log}: coverage label '.KG' disagrees"):
             read_removal_log(log)
 
+    def test_repeated_removal_log_id_names_file_and_line(self, tmp_path):
+        log = tmp_path / "log.jsonl"
+        log.write_text('{"id": "q", "removed": [], "coverage": "CKG"}\n'
+                       '{"id": "q", "removed": [["a", "r", "b"]], "coverage": "IKG"}\n')
+        with pytest.raises(KGError, match=f"line 2 of {log}: duplicate question id 'q'"):
+            read_removal_log(log)
+
     def test_numeric_removal_log_id_is_read_as_text(self, tmp_path):
         log = tmp_path / "log.jsonl"
         log.write_text('{"id": 5, "removed": [["a", "r", "b"]], "coverage": "IKG"}\n')

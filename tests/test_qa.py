@@ -51,6 +51,20 @@ def test_malformed_record_names_line(tmp_path):
         load_qa(path)
 
 
+@pytest.mark.parametrize("answers, complaint", [
+    ('[]', "'answers' is empty"),
+    ('[["  ", "!"]]', r"gold answer \['  ', '!'\] has no alias that is not blank or punctuation"),
+    ('[["Iran"], []]', r"gold answer \[\] has no alias"),
+    ('[["Iran"], [".\\u2003"]]', "gold answer .* has no alias"),
+], ids=["no gold answer", "blank aliases", "no aliases", "unicode blank alias"])
+def test_unanswerable_question_names_file_and_line(tmp_path, answers, complaint):
+    path = tmp_path / "qa.jsonl"
+    path.write_text('{"id": "q1", "question": "?", "topic_entities": [], "answers": [["a"]]}\n'
+                    '{"id": "q2", "question": "?", "topic_entities": [], "answers": ' + answers + "}\n")
+    with pytest.raises(QAError, match=f"line 2 of {path}: {complaint}"):
+        load_qa(path)
+
+
 def test_duplicate_ids_rejected(tmp_path):
     path = tmp_path / "qa.jsonl"
     line = '{"id": "q", "question": "?", "topic_entities": [], "answers": [["a"]]}\n'

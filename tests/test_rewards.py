@@ -258,18 +258,17 @@ class TestAdvantages:
 
 
 class TestGrouping:
-    def test_consecutive_same_id_grouped_and_chunked(self):
-        records = [{"id": "q1", "R_over": r} for r in (1.0, 0.0, 0.5)]
-        records += [{"id": "q2", "R_over": 0.25}]
-        groups = group_score_records(records, group_size=2)
-        assert [g["id"] for g in groups] == ["q1", "q1", "q2"]
-        assert groups[0]["rewards"] == [1.0, 0.0]
-        assert groups[0]["group"] == ["q1", "q1"]
-        assert groups[2]["advantages"] == [0.0]
-
-    def test_group_size_must_be_positive(self):
-        with pytest.raises(ValueError):
-            group_score_records([], group_size=0)
+    def test_each_run_of_one_id_is_one_group(self):
+        # each maximal run of one id is a group, however long; a later run of an id is a group of its own
+        records = [{"id": "q1", "R_over": r} for r in (1.0, 0.0, 0.5)] * 4
+        records += [{"id": "q2", "R_over": 0.25}, {"id": "q1", "R_over": 0.5}]
+        groups = group_score_records(records)
+        assert [g["id"] for g in groups] == ["q1", "q2", "q1"]
+        assert groups[0]["rewards"] == [1.0, 0.0, 0.5] * 4
+        assert groups[0]["group"] == ["q1"] * 12
+        assert groups[1]["advantages"] == [0.0]
+        assert groups[2]["rewards"] == [0.5]
+        assert group_score_records([]) == []
 
 
 # -- the reward side against a brute-force copy of the quadratic scorer -------

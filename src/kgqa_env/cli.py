@@ -10,6 +10,11 @@ not know are ignored so one config file can drive a whole pipeline.
 A URL selects a remote backend (``--policy-url``, ``--web-url``,
 ``--judge-url``); without one the scripted oracle, the offline
 ``--web-corpus`` and the rule judge run.
+
+Each subcommand imports only the package modules it runs, inside its
+``cmd_*`` function, because every command is a process of its own and the
+whole package costs more to import than ``build-kg`` or ``advantages`` takes
+to run.
 """
 
 from __future__ import annotations
@@ -18,23 +23,12 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
-from . import evaluate, filtering, rewards
-from .jsonio import write_jsonl
-from .kg import (
-    KGError,
-    load_triples,
-    read_removal_log,
-    sample_ikg,
-    write_removal_log,
-    write_triples,
-)
-from .policies import RemotePolicy, ScriptedOracle
-from .qa import QAError, QAExample, load_qa
-from .rollout import RolloutConfig, RolloutError, run_rollout
-from .trajectory import Trajectory, read_trajectories, write_masks, write_trajectories
-from .web import OfflineWebTool, RemoteWebTool, WebToolError
+if TYPE_CHECKING:
+    from .qa import QAExample
+    from .trajectory import Trajectory
+    from .web import WebTool
 
 
 #: Per subcommand: its parser and the flags a config file may set.
@@ -114,7 +108,7 @@ def _load_config(path: str) -> dict[str, str]:
             continue
         key, sep, value = line.partition("=")
         if not sep:
-            raise ValueError(f"malformed config file line {lineno}: {line!r}")
+            raise ValueError(f"malformed config file line {lineno} of {path}: {line!r}")
         values[key.strip()] = value.strip()
     return values
 
@@ -146,13 +140,18 @@ def _apply_config(parser: argparse.ArgumentParser, commands: Commands, argv: lis
                     raise ValueError(f"config key {key!r} must be one of {', '.join(_BOOLEANS)}, got {raw!r}")
                 defaults[action.dest] = _BOOLEANS[raw.lower()]
             else:
-                defaults[action.dest] = action.type(raw) if action.type else raw
+                try:
+                    defaults[action.dest] = action.type(raw) if action.type else raw
+                except ValueError as exc:
+                    raise ValueError(f"config key {key!r} in {config}: {exc}") from None
             action.required = False
     subparser.set_defaults(**defaults)
     return parser.parse_args(argv)
 
 
-def _make_web(args: argparse.Namespace):
+def _make_web(args: argparse.Namespace) -> WebTool:
+    from .web import OfflineWebTool, RemoteWebTool, WebToolError
+
     if args.web_url:
         return RemoteWebTool(args.web_url)
     if not args.web_corpus:
@@ -163,6 +162,10 @@ def _make_web(args: argparse.Namespace):
 def _labelled(args: argparse.Namespace) -> Iterator[tuple[Trajectory, QAExample, str]]:
     """Each trajectory of ``--traj`` with its QA record and the coverage
     label ``--ikg-log`` gives its question."""
+    from .kg import KGError, read_removal_log
+    from .qa import QAError, load_qa
+    from .trajectory import read_trajectories
+
     qa = {ex.id: ex for ex in load_qa(args.qa)}
     coverage = read_removal_log(args.ikg_log).coverage
     for traj in read_trajectories(args.traj):
@@ -175,6 +178,8 @@ def _labelled(args: argparse.Namespace) -> Iterator[tuple[Trajectory, QAExample,
 
 
 def cmd_build_kg(args: argparse.Namespace) -> int:
+    from .kg import load_triples, write_triples
+
     kg = load_triples(args.triples, args.aliases)
     if args.out:
         write_triples(kg, args.out)
@@ -189,6 +194,9 @@ def cmd_build_kg(args: argparse.Namespace) -> int:
 
 
 def cmd_sample_ikg(args: argparse.Namespace) -> int:
+    from .kg import load_triples, sample_ikg, write_removal_log, write_triples
+    from .qa import load_qa
+
     kg = load_triples(args.triples, args.aliases)
     qa = load_qa(args.qa)
     derived, log = sample_ikg(kg, qa, args.fraction, args.seed)
@@ -206,6 +214,12 @@ def cmd_sample_ikg(args: argparse.Namespace) -> int:
 
 
 def cmd_rollout(args: argparse.Namespace) -> int:
+    from .kg import load_triples
+    from .policies import RemotePolicy, ScriptedOracle
+    from .qa import load_qa
+    from .rollout import RolloutConfig, run_rollout
+    from .trajectory import write_masks, write_trajectories
+
     kg = load_triples(args.kg, args.aliases)
     qa = load_qa(args.qa)
     web = _make_web(args)
@@ -225,6 +239,9 @@ def cmd_rollout(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
+    from . import rewards
+    from .jsonio import write_jsonl
+
     records = [
         rewards.score_record(traj.question_id, rewards.score_trajectory(traj, ex.answers, label), label)
         for traj, ex, label in _labelled(args)
@@ -235,6 +252,9 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_advantages(args: argparse.Namespace) -> int:
+    from . import rewards
+    from .jsonio import write_jsonl
+
     records = rewards.read_scores(args.scores)
     groups = rewards.group_score_records(records)
     write_jsonl(groups, args.out)
@@ -243,6 +263,9 @@ def cmd_advantages(args: argparse.Namespace) -> int:
 
 
 def cmd_filter_sft(args: argparse.Namespace) -> int:
+    from . import filtering
+    from .jsonio import write_jsonl
+
     judge = filtering.RemoteJudge(args.judge_url) if args.judge_url else filtering.RuleJudge()
     kept, dropped = [], 0
     for traj, ex, label in _labelled(args):
@@ -256,6 +279,10 @@ def cmd_filter_sft(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from . import evaluate
+    from .qa import load_qa
+    from .trajectory import read_trajectories
+
     trajs = read_trajectories(args.traj)
     qa = load_qa(args.qa)
     report = evaluate.build_report(trajs, qa)
@@ -264,12 +291,25 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
+def _reported_errors() -> tuple[type[Exception], ...]:
+    """The errors ``main`` reports as ``error: ...``: bad input, a failed
+    backend or file. ``main`` looks them up only once an exception reaches
+    it, so a command that succeeds imports no module it does not run."""
+    from .filtering import JudgeError
+    from .kg import KGError
+    from .qa import QAError
+    from .rollout import RolloutError
+    from .web import WebToolError
+
+    return KGError, QAError, WebToolError, RolloutError, JudgeError, ValueError, OSError
+
+
 def main(argv: list[str] | None = None) -> int:
     parser, commands = build_parser()
     try:
         args = _apply_config(parser, commands, list(argv) if argv is not None else sys.argv[1:])
         return args.run(args)
-    except (KGError, QAError, WebToolError, RolloutError, filtering.JudgeError, ValueError, OSError) as exc:
+    except _reported_errors() as exc:  # evaluated only once an exception arrives
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

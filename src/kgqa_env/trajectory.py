@@ -159,14 +159,6 @@ def render_block(tag: str, content: str) -> str:
     return f"<{tag}>{content}</{tag}>"
 
 
-def render_trajectory(traj: Trajectory) -> str:
-    """Deterministic serialization; parsing the output yields step-equal
-    steps. Implicit think steps render as bare text, so render-after-parse
-    reproduces the source up to whitespace."""
-    pieces = [s.content if s.implicit else render_block(s.tag, s.content) for s in traj.steps]
-    return "\n".join(pieces)
-
-
 def validate_format(traj: Trajectory) -> FormatReport:
     """Check the single-plan / plan-first / single-trailing-answer /
     search-info pairing rules. The resulting flag gates the accuracy reward."""

@@ -29,13 +29,13 @@ from kgqa_env.trajectory import (
     Step,
     Trajectory,
     parse_trajectory,
-    render_trajectory,
     retrieval_mask,
     validate_format,
 )
 from kgqa_env.web import OfflineWebTool
 
 from test_filtering import SUITE as FILTER_SUITE
+from test_trajectory import render
 
 
 @contextmanager
@@ -159,7 +159,7 @@ def test_criterion_5_trajectory_grammar():
                 Step(rng.choice(tags), "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 24))))
                 for _ in range(rng.randint(1, 50))
             )
-            reparsed = parse_trajectory(render_trajectory(Trajectory("", steps, "")))
+            reparsed = parse_trajectory(render(Trajectory("", steps, "")))
             assert reparsed.step_signature == [(s.tag, s.content) for s in steps]
         with pytest.raises(ParseError):
             parse_trajectory("<lookup>x</lookup>")

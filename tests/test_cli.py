@@ -115,6 +115,14 @@ class TestPipeline:
         [rec] = [json.loads(l) for l in scores.read_text().splitlines()]
         assert rec["id"] == "1" and rec["coverage"] == "IKG"
 
+    def test_score_requires_a_qa_record_for_every_trajectory(self, workdir, capsys):
+        traj = workdir / "stray.jsonl"
+        traj.write_text(json.dumps({"id": "stray", "text": "<plan>S1: x</plan><answer>a</answer>"}) + "\n")
+        rc, _, stderr = run(capsys, "score", "--traj", str(traj), "--qa", str(TOY_QA),
+                            "--ikg-log", str(workdir / "ikg.jsonl"), "--out", str(workdir / "x.jsonl"))
+        assert rc == 1
+        assert stderr == "error: trajectory 'stray' has no QA record\n"
+
     def test_score_requires_coverage_for_every_question(self, workdir, capsys):
         empty_log = workdir / "empty.jsonl"
         empty_log.write_text("")
@@ -174,6 +182,21 @@ class TestConfigFile:
         rc, _, stderr = run(capsys, "build-kg", "--triples", str(TOY_KG), "--config", str(config))
         assert rc == 1
         assert "config" in stderr
+        assert f"line 1 of {config}" in stderr
+
+    @pytest.mark.parametrize("entry, complaint", [
+        ("max-iters=abc", "invalid literal for int() with base 10: 'abc'"),
+        ("top-k-docs=2.5", "invalid literal for int() with base 10: '2.5'"),
+    ])
+    def test_typed_key_that_does_not_convert_names_key_and_file(self, capsys, tmp_path, entry, complaint):
+        config = tmp_path / "run.conf"
+        config.write_text(f"{entry}\n")
+        rc, _, stderr = run(capsys, "rollout", "--kg", str(TOY_KG), "--qa", str(TOY_QA),
+                            "--web-corpus", str(TOY_WEB_CORPUS), "--config", str(config),
+                            "--out", str(tmp_path / "t.jsonl"))
+        assert rc == 1
+        key = entry.partition("=")[0]
+        assert stderr == f"error: config key {key!r} in {config}: {complaint}\n"
 
 
 class TestRolloutFlags:
@@ -270,6 +293,17 @@ class TestRemoteBackends:
         assert rc == 0, stderr
         assert stub_server.requests == [("/judge", {"question": "What country uses the Iranian rial?", "plan": plan})]
 
+    def test_filter_sft_reports_a_failing_judge(self, capsys, tmp_path, stub_server):
+        stub_server.route("/judge", lambda body: (500, {"error": "overloaded"}))
+        traj, log = tmp_path / "t.jsonl", tmp_path / "log.jsonl"
+        traj.write_text(json.dumps({"id": "q", "text": "<plan>S1: x</plan>\n<answer>Iran</answer>"}) + "\n")
+        log.write_text('{"id": "q", "removed": [], "coverage": "CKG"}\n')
+        rc, _, stderr = run(capsys, "filter-sft", "--traj", str(traj), "--qa", self._inputs(tmp_path)[1],
+                            "--ikg-log", str(log), "--judge-url", stub_server.url("/judge"),
+                            "--out", str(tmp_path / "sft.jsonl"))
+        assert rc == 1
+        assert stderr.startswith(f"error: POST to {stub_server.url('/judge')} failed: ")
+
     @staticmethod
     def _inputs(tmp_path):
         """A graph without the currency hop, and one question whose recorded plan takes it."""
@@ -287,6 +321,17 @@ def test_every_subcommand_formats_its_help(capsys, command):
         main([command, "--help"])
     assert exit_.value.code == 0
     assert capsys.readouterr().out.startswith(f"usage: kgqa {command}")
+
+
+def test_a_programming_error_propagates(monkeypatch):
+    from kgqa_env import cli
+
+    def broken(args):
+        raise AttributeError("'NoneType' object has no attribute 'head_index'")
+
+    monkeypatch.setattr(cli, "cmd_build_kg", broken)
+    with pytest.raises(AttributeError, match="head_index"):
+        main(["build-kg", "--triples", str(TOY_KG)])
 
 
 def test_module_entry_point():

@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from kgqa_env.cli import main
+from kgqa_env.data import TOY_ALIASES, TOY_KG, TOY_QA, TOY_WEB_CORPUS
 from kgqa_env.filtering import JudgeError, RemoteJudge
 from kgqa_env.jsonio import post_json, read_jsonl, write_jsonl
 from kgqa_env.policies import RemotePolicy
@@ -107,7 +109,62 @@ class TestPostJson:
                 call()
 
 
+#: Package modules each subcommand loads besides ``kgqa_env.cli``.
+_COMMAND_MODULES = {
+    "build-kg": {"kg", "jsonio", "text"},
+    "sample-ikg": {"kg", "jsonio", "text", "qa"},
+    "rollout": {"kg", "qa", "web", "rollout", "policies", "plan", "trajectory", "jsonio", "text"},
+    "score": {"rewards", "qa", "kg", "trajectory", "jsonio", "text"},
+    "advantages": {"rewards", "kg", "trajectory", "jsonio", "text"},
+    "filter-sft": {"filtering", "rewards", "rollout", "web", "plan", "qa", "kg", "trajectory", "jsonio", "text"},
+    "eval": {"evaluate", "qa", "kg", "trajectory", "jsonio", "text"},
+}
+
+
+#: Modules of the HTTP client, which no offline run loads.
+_HTTP_CLIENT = {"requests", "urllib.request"}
+
+
+def _loaded_after(code):
+    """Run ``code`` in a fresh interpreter; return the names in its ``sys.modules``."""
+    report = "\nimport json, sys; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code + report], capture_output=True, text=True, timeout=60, check=True)
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def _package_modules(loaded):
+    return {m.removeprefix("kgqa_env.") for m in loaded if m.startswith("kgqa_env.")} - {"cli"}
+
+
 def test_cli_import_leaves_the_http_client_unloaded():
-    code = "import sys, kgqa_env.cli; print(sorted(m for m in ('requests', 'urllib.request') if m in sys.modules))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True)
-    assert proc.stdout.strip() == "[]"
+    loaded = _loaded_after("import kgqa_env.cli")
+    assert not loaded & _HTTP_CLIENT
+    assert _package_modules(loaded) == set()
+
+
+@pytest.fixture(scope="module")
+def toy_pipeline(tmp_path_factory):
+    """Each subcommand's argv, over files the pipeline before it wrote."""
+    w = tmp_path_factory.mktemp("pipeline")
+    argvs = {
+        "build-kg": ["--triples", TOY_KG, "--aliases", TOY_ALIASES, "--out", w / "kg.tsv"],
+        "sample-ikg": ["--triples", TOY_KG, "--aliases", TOY_ALIASES, "--qa", TOY_QA, "--fraction", "0.4",
+                       "--out-kg", w / "ikg.tsv", "--out-log", w / "ikg.jsonl"],
+        "rollout": ["--kg", w / "ikg.tsv", "--aliases", TOY_ALIASES, "--qa", TOY_QA, "--web-corpus", TOY_WEB_CORPUS,
+                    "--out", w / "traj.jsonl", "--masks", w / "masks.jsonl"],
+        "score": ["--traj", w / "traj.jsonl", "--qa", TOY_QA, "--ikg-log", w / "ikg.jsonl", "--out", w / "scores.jsonl"],
+        "advantages": ["--scores", w / "scores.jsonl", "--out", w / "adv.jsonl"],
+        "filter-sft": ["--traj", w / "traj.jsonl", "--qa", TOY_QA, "--ikg-log", w / "ikg.jsonl", "--out", w / "sft.jsonl"],
+        "eval": ["--traj", w / "traj.jsonl", "--qa", TOY_QA, "--out", w / "report.json"],
+    }
+    argvs = {cmd: [cmd, *map(str, argv)] for cmd, argv in argvs.items()}
+    for argv in argvs.values():
+        assert main(argv) == 0
+    return argvs
+
+
+@pytest.mark.parametrize("command", list(_COMMAND_MODULES))
+def test_each_subcommand_loads_only_the_modules_it_runs(toy_pipeline, command):
+    loaded = _loaded_after(f"from kgqa_env.cli import main; assert main({toy_pipeline[command]!r}) == 0")
+    assert not loaded & _HTTP_CLIENT
+    assert _package_modules(loaded) == _COMMAND_MODULES[command]

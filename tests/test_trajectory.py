@@ -16,7 +16,7 @@ from kgqa_env.trajectory import (
     answer_items,
     neutralize_tags,
     parse_trajectory,
-    render_trajectory,
+    render_block,
     retrieval_mask,
     validate_format,
 )
@@ -145,20 +145,26 @@ class TestValidate:
         assert validate_format(traj) == validate_format(traj)
 
 
+def render(traj):
+    """The steps joined by newlines: each as its block, an implicit think
+    step as bare text, so parsing the join yields step-equal steps."""
+    return "\n".join(s.content if s.implicit else render_block(s.tag, s.content) for s in traj.steps)
+
+
 class TestRoundTrip:
     def test_conforming_round_trip(self):
         traj = parse_trajectory(CONFORMING)
-        again = parse_trajectory(render_trajectory(traj))
+        again = parse_trajectory(render(traj))
         assert again.step_signature == traj.step_signature
 
     def test_empty_block_preserved(self):
         traj = parse_trajectory("<think></think>")
-        assert render_trajectory(traj) == "<think></think>"
-        assert parse_trajectory(render_trajectory(traj)).step_signature == [("think", "")]
+        assert render(traj) == "<think></think>"
+        assert parse_trajectory(render(traj)).step_signature == [("think", "")]
 
     def test_render_after_parse_keeps_bare_text_bare(self):
         traj = parse_trajectory("x<plan>p</plan>")
-        assert render_trajectory(traj) == "x\n<plan>p</plan>"
+        assert render(traj) == "x\n<plan>p</plan>"
 
     def test_random_50_step_sequences_round_trip(self):
         rng = random.Random(11)
@@ -170,7 +176,7 @@ class TestRoundTrip:
                 for _ in range(50)
             )
             traj = Trajectory("t", steps, raw="")
-            again = parse_trajectory(render_trajectory(traj))
+            again = parse_trajectory(render(traj))
             assert again.step_signature == [(s.tag, s.content) for s in steps]
 
 

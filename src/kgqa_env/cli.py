@@ -1,9 +1,5 @@
 """Command-line interface.
 
-Every subcommand accepts ``--config PATH`` pointing at a key=value file whose
-keys mirror the long flag names (e.g. ``max-iters=5``); explicit flags win
-over config values, which win over built-in defaults. Keys a subcommand does
-not know are ignored so one config file can drive a whole pipeline.
 ``sample-ikg`` is the only randomized subcommand, and the only one with
 ``--seed``.
 
@@ -22,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator
 
 if TYPE_CHECKING:
@@ -31,21 +26,14 @@ if TYPE_CHECKING:
     from .web import WebTool
 
 
-#: Per subcommand: its parser and the flags a config file may set.
-Commands = dict[str, tuple[argparse.ArgumentParser, list[argparse.Action]]]
-
-
-def build_parser() -> tuple[argparse.ArgumentParser, Commands]:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kgqa", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    commands: Commands = {}
 
     def command(name: str, run: Callable[[argparse.Namespace], int], summary: str):
         p = sub.add_parser(name, help=summary)
-        p.add_argument("--config", default=None, help="key=value file mirroring the flags")
         p.set_defaults(run=run)
-        commands[name] = (p, [])
-        return lambda *flags, **kw: commands[name][1].append(p.add_argument(*flags, **kw))
+        return p.add_argument
 
     arg = command("build-kg", cmd_build_kg, "load, validate and report a triple file")
     arg("--triples", required=True)
@@ -71,9 +59,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, Commands]:
     arg("--out", required=True)
     arg("--masks", default=None, help="also write retrieval-mask spans here")
     arg("--max-iters", type=int, default=10)
-    arg("--top-k-relations", type=int, default=15)
-    arg("--top-k-docs", type=int, default=3)
-    arg("--strict-format", action="store_true")
 
     arg = command("score", cmd_score, "score trajectories against gold answers")
     arg("--traj", required=True)
@@ -97,56 +82,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, Commands]:
     arg("--qa", required=True)
     arg("--out", required=True)
 
-    return parser, commands
-
-
-def _load_config(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ValueError(f"malformed config file line {lineno} of {path}: {line!r}")
-        values[key.strip()] = value.strip()
-    return values
-
-
-#: The values a config file may give a store-true key, in any case.
-_BOOLEANS = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(("0", "false", "no", "off"), False)
-
-
-def _apply_config(parser: argparse.ArgumentParser, commands: Commands, argv: list[str]) -> argparse.Namespace:
-    """Two-pass parse: pick up --config alone (a full parse would reject
-    missing required flags the config provides), turn its values into
-    defaults for the invoked subcommand (clearing `required` on flags it
-    covers), then parse the real argv on top."""
-    probe = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
-    probe.add_argument("--config")
-    config = probe.parse_known_args(argv)[0].config
-    command = next((tok for tok in argv if not tok.startswith("-")), None)
-    if not config or command not in commands:
-        return parser.parse_args(argv)
-    values = _load_config(config)
-    subparser, actions = commands[command]
-    defaults: dict[str, object] = {}
-    for action in actions:
-        key = action.option_strings[0].lstrip("-")
-        if key in values:
-            raw = values[key]
-            if action.nargs == 0:  # store_true: the flag takes no value
-                if raw.lower() not in _BOOLEANS:
-                    raise ValueError(f"config key {key!r} must be one of {', '.join(_BOOLEANS)}, got {raw!r}")
-                defaults[action.dest] = _BOOLEANS[raw.lower()]
-            else:
-                try:
-                    defaults[action.dest] = action.type(raw) if action.type else raw
-                except ValueError as exc:
-                    raise ValueError(f"config key {key!r} in {config}: {exc}") from None
-            action.required = False
-    subparser.set_defaults(**defaults)
-    return parser.parse_args(argv)
+    return parser
 
 
 def _make_web(args: argparse.Namespace) -> WebTool:
@@ -224,12 +160,7 @@ def cmd_rollout(args: argparse.Namespace) -> int:
     qa = load_qa(args.qa)
     web = _make_web(args)
     policy = RemotePolicy(args.policy_url) if args.policy_url else ScriptedOracle()
-    cfg = RolloutConfig(
-        max_iterations=args.max_iters,
-        top_k_relations=args.top_k_relations,
-        top_k_docs=args.top_k_docs,
-        strict_format=args.strict_format,
-    )
+    cfg = RolloutConfig(max_iterations=args.max_iters)
     trajs = [run_rollout(policy, kg, web, ex, cfg) for ex in qa]
     write_trajectories(trajs, args.out)
     if args.masks:
@@ -305,9 +236,8 @@ def _reported_errors() -> tuple[type[Exception], ...]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser, commands = build_parser()
+    args = build_parser().parse_args(argv)
     try:
-        args = _apply_config(parser, commands, list(argv) if argv is not None else sys.argv[1:])
         return args.run(args)
     except _reported_errors() as exc:  # evaluated only once an exception arrives
         print(f"error: {exc}", file=sys.stderr)

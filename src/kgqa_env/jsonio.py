@@ -18,11 +18,12 @@ def read_jsonl(
 ) -> Iterator[T]:
     """Yield ``convert(record)`` for each non-blank line, in file order.
 
-    Bad JSON, and any ``ValueError``, ``KeyError`` or ``TypeError`` raised
-    by ``convert``, becomes ``error_cls`` naming ``what``, the line and the
-    file; callers raise ``ValueError`` for their own per-record checks.
+    A leading UTF-8 byte-order mark is skipped. Bad JSON, and any
+    ``ValueError``, ``KeyError`` or ``TypeError`` raised by ``convert``,
+    becomes ``error_cls`` naming ``what``, the line and the file; callers
+    raise ``ValueError`` for their own per-record checks.
     """
-    with Path(path).open(encoding="utf-8") as fh:
+    with Path(path).open(encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

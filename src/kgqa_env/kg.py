@@ -26,10 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .qa import QAExample
 
 SENTINEL = "No information in KG, please use web tool."
-#: Alternate phrasing produced by some generators; accepted on input.
-SENTINEL_VARIANT = "No information in the KG, please use web tool."
-
-_SENTINEL_FORMS = frozenset({normalize(SENTINEL), normalize(SENTINEL_VARIANT)})
+_SENTINEL_FORMS = frozenset({normalize(SENTINEL)})
 
 COVERAGE_CKG = "CKG"
 COVERAGE_IKG = "IKG"
@@ -53,7 +50,7 @@ def display(entity: str) -> str:
 
 
 def is_sentinel(text: str) -> bool:
-    """True for the no-information marker, in either known phrasing."""
+    """True for the no-information marker, up to case, punctuation and spacing."""
     return normalize(text) in _SENTINEL_FORMS
 
 
@@ -180,7 +177,7 @@ class KnowledgeGraph:
 
         The edit distance is computed only for relations whose Jaccard is at
         least the ``k``-th best. The cut is exact: every relation below it
-        has ``k`` relations with a strictly higher Jaccard ahead of it.
+        has ``k`` relations with a higher Jaccard ahead of it.
 
         When more than ``k`` relations are attached, the token index finds
         those that share a word with the hypothesis, and if there are at
@@ -223,8 +220,9 @@ class KnowledgeGraph:
 
 @gc_paused
 def load_triples(path: str | Path, alias_path: str | Path | None = None) -> KnowledgeGraph:
-    """Load a TSV triple file (head<TAB>relation<TAB>tail, UTF-8) into an
-    indexed graph. Duplicate lines are deduplicated; blank lines skipped.
+    """Load a TSV triple file (head<TAB>relation<TAB>tail, UTF-8, a leading
+    byte-order mark skipped) into an indexed graph. Duplicate lines are
+    deduplicated; blank lines skipped.
 
     Raises :class:`KGError` naming the line number for malformed lines, and
     for files containing no triples at all.
@@ -240,7 +238,7 @@ def _read_tsv(path: Path) -> Iterator[tuple[str, str, str]]:
     """Yield each line's (head, relation, tail), whitespace-trimmed and
     interned, so an entity's every occurrence shares one string."""
     intern = sys.intern
-    with path.open(encoding="utf-8") as fh:
+    with path.open(encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

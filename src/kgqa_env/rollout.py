@@ -55,6 +55,9 @@ FORCE_ANSWER_DIRECTIVE = (
 MALFORMED_TOOL_CALL = "malformed tool call"
 #: In-band content of a web_information block when the web backend fails.
 WEB_UNAVAILABLE = "web tool unavailable"
+#: Relations a relation_search lists, and snippets a web_search returns.
+TOP_K_RELATIONS = 15
+TOP_K_DOCS = 3
 
 #: Closing delimiters at which policy segments end.
 STOP_TAGS = [f"</{t}>" for t in (PLAN, *sorted(SEARCH_TAGS), ANSWER)]
@@ -78,11 +81,8 @@ Topic entities: {topics}
 
 
 class RolloutError(RuntimeError):
-    """Rollout aborted; carries whatever trajectory prefix was assembled."""
-
-    def __init__(self, message: str, partial: Trajectory | None = None):
-        super().__init__(message)
-        self.partial = partial
+    """Rollout aborted before it began or by its policy: the scripted oracle
+    has no plan for the question, or the policy backend failed."""
 
 
 class Policy(ABC):
@@ -101,18 +101,13 @@ class Policy(ABC):
 
 @dataclass
 class RolloutConfig:
-    """Rollout knobs; the tool-call budget and both result counts must be
-    at least 1, else ``ValueError``."""
+    """The tool-call budget of a rollout; at least 1, else ``ValueError``."""
 
     max_iterations: int = 10
-    top_k_relations: int = 15
-    top_k_docs: int = 3
-    strict_format: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("max_iterations", "top_k_relations", "top_k_docs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
 
 
 def build_prompt(example: QAExample) -> str:
@@ -135,7 +130,7 @@ def _cut_at_action(segment: str) -> tuple[str, str | None]:
     return segment[: best[0]], best[1]
 
 
-def dispatch_action(step: Step, kg: KnowledgeGraph, web: WebTool, cfg: RolloutConfig) -> Step:
+def dispatch_action(step: Step, kg: KnowledgeGraph, web: WebTool) -> Step:
     """Execute one search step and return its information block. Malformed
     calls and :class:`WebToolError` (a web backend's transport or protocol
     failure) produce in-band content the policy can react to; any other
@@ -144,24 +139,24 @@ def dispatch_action(step: Step, kg: KnowledgeGraph, web: WebTool, cfg: RolloutCo
     exactly one information step."""
     if step.tag not in SEARCH_TAGS:
         raise ValueError(f"dispatch_action expects a search step, got <{step.tag}>")
-    return Step(INFO_FOR[step.tag], neutralize_tags(_tool_output(step, kg, web, cfg)))
+    return Step(INFO_FOR[step.tag], neutralize_tags(_tool_output(step, kg, web)))
 
 
-def _tool_output(step: Step, kg: KnowledgeGraph, web: WebTool, cfg: RolloutConfig) -> str:
+def _tool_output(step: Step, kg: KnowledgeGraph, web: WebTool) -> str:
     head, sep, relation = step.content.partition("|")
     head, relation = head.strip(), relation.strip()
     if not sep or not head or not relation:
         return MALFORMED_TOOL_CALL
     if step.tag == RELATION_SEARCH:
         entity = kg.resolve_entity(head) or head
-        return ", ".join(kg.relation_search(entity, relation, cfg.top_k_relations))
+        return ", ".join(kg.relation_search(entity, relation, TOP_K_RELATIONS))
     if step.tag == NEIGHBOR_SEARCH:
         entity = kg.resolve_entity(head) or head
         payload = kg.neighbor_search(entity, relation)
         return payload if isinstance(payload, str) else "; ".join(sorted(payload))
     query = normalize(f"{head} {relation}")
     try:
-        snippets = web.search(query, cfg.top_k_docs)
+        snippets = web.search(query, TOP_K_DOCS)
     except WebToolError:
         return WEB_UNAVAILABLE
     return "\n".join(snippets)
@@ -193,9 +188,8 @@ def run_rollout(
 
     The returned trajectory contains only generated and injected blocks; the
     instruction prompt is shown to the policy but kept out of the trajectory
-    text. In strict mode an unparseable policy segment aborts the rollout
-    (:class:`RolloutError` carrying the partial trajectory); otherwise the
-    bad segment is dropped and the policy is directed to answer immediately.
+    text. An unparseable policy segment is dropped and the policy is
+    directed to answer immediately; the format reward scores what is left.
     """
     cfg = cfg or RolloutConfig()
     prompt = build_prompt(example)
@@ -210,13 +204,8 @@ def run_rollout(
         if action is None and not piece.strip():
             break
         try:
-            parsed = parse_trajectory(piece, question_id=example.id, strict=cfg.strict_format)
+            parsed = parse_trajectory(piece, question_id=example.id)
         except ParseError:
-            if cfg.strict_format:
-                raise RolloutError(
-                    "policy emitted an unparseable segment",
-                    partial=parse_trajectory(text, example.id),
-                ) from None
             break  # drop the segment, direct an immediate answer
         text += piece
         if action is None:
@@ -231,7 +220,7 @@ def run_rollout(
                 break  # a second plan: stop, the forced answer follows
             planned = True
             continue
-        info = dispatch_action(parsed.steps[-1], kg, web, cfg)
+        info = dispatch_action(parsed.steps[-1], kg, web)
         text += "\n" + render_block(info.tag, info.content)
         iterations += 1
         if iterations >= cfg.max_iterations:

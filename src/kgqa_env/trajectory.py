@@ -2,8 +2,8 @@
 
 A trajectory is a flat sequence of ``<tag>content</tag>`` blocks drawn from a
 closed vocabulary; no nesting, no attributes. Text found outside any block is
-kept as implicit think content by default (LLM output drifts), or rejected in
-strict mode. All operations here are pure functions over immutable values.
+kept as implicit think content (LLM output drifts). All operations here are
+pure functions over immutable values.
 """
 
 from __future__ import annotations
@@ -96,13 +96,12 @@ class Trajectory:
         return [s for s in self.steps if s.tag == tag]
 
 
-def parse_trajectory(text: str, question_id: str = "", strict: bool = False) -> Trajectory:
+def parse_trajectory(text: str, question_id: str = "") -> Trajectory:
     """Segment tagged text into steps, in source order.
 
     Bare text between blocks becomes an implicit think step (skipped when
-    whitespace-only); in strict mode it is a parse error instead. Unknown
-    tags, nested tags, unclosed tags and stray closing tags all raise
-    :class:`ParseError` with the offending offset.
+    whitespace-only). Unknown tags, nested tags, unclosed tags and stray
+    closing tags all raise :class:`ParseError` with the offending offset.
     """
     steps: list[Step] = []
     pos = 0
@@ -111,11 +110,9 @@ def parse_trajectory(text: str, question_id: str = "", strict: bool = False) -> 
     open_offset = 0
 
     def adopt_bare(chunk: str, start: int) -> None:
-        if not chunk.strip():
-            return
-        if strict:
-            raise ParseError("text outside tag blocks is not allowed in strict mode", start)
         stripped = chunk.strip()
+        if not stripped:
+            return
         lead = chunk.index(stripped[0])
         steps.append(Step(THINK, stripped, (start + lead, start + lead + len(stripped)), implicit=True))
 

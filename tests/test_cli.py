@@ -1,10 +1,11 @@
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
-from kgqa_env.cli import _apply_config, build_parser, main
+from kgqa_env.cli import main
 from kgqa_env.data import TOY_ALIASES, TOY_KG, TOY_QA, TOY_WEB_CORPUS
 
 
@@ -132,73 +133,6 @@ class TestPipeline:
         assert "coverage" in stderr
 
 
-class TestConfigFile:
-    def test_config_supplies_defaults_and_flags_win(self, capsys, tmp_path):
-        config = tmp_path / "run.conf"
-        config.write_text("# pipeline defaults\nfraction=0.4\nseed=7\nignored-key=5\n")
-        out_kg, out_log = tmp_path / "kg.tsv", tmp_path / "log.jsonl"
-        rc, stdout, _ = run(capsys, "sample-ikg", "--triples", str(TOY_KG), "--qa", str(TOY_QA),
-                            "--config", str(config), "--out-kg", str(out_kg), "--out-log", str(out_log))
-        assert rc == 0
-        assert json.loads(stdout)["fraction"] == 0.4
-        assert json.loads(stdout)["seed"] == 7
-
-        rc, stdout, _ = run(capsys, "sample-ikg", "--triples", str(TOY_KG), "--qa", str(TOY_QA),
-                            "--config", str(config), "--fraction", "0.2",
-                            "--out-kg", str(out_kg), "--out-log", str(out_log))
-        assert rc == 0
-        assert json.loads(stdout)["fraction"] == 0.2
-        assert json.loads(stdout)["seed"] == 7
-
-    def test_store_true_and_typed_keys(self, tmp_path):
-        config = tmp_path / "run.conf"
-        config.write_text("strict-format=true\nmax-iters=3\nseed=4\n")
-        parser, commands = build_parser()
-        base = ["rollout", "--kg", "k", "--qa", "q", "--out", "o", "--config", str(config)]
-        args = _apply_config(parser, commands, base)
-        assert args.strict_format is True
-        assert args.max_iters == 3
-        assert not hasattr(args, "seed")
-        assert _apply_config(parser, commands, base + ["--max-iters", "5"]).max_iters == 5
-
-        config.write_text("strict-format=no\n")
-        parser, commands = build_parser()
-        assert _apply_config(parser, commands, base).strict_format is False
-
-    @pytest.mark.parametrize("value", ["maybe", "", "2"])
-    def test_store_true_key_takes_only_a_boolean(self, capsys, tmp_path, value):
-        config = tmp_path / "run.conf"
-        config.write_text(f"strict-format={value}\n")
-        rc, _, stderr = run(capsys, "rollout", "--kg", str(TOY_KG), "--qa", str(TOY_QA),
-                            "--web-corpus", str(TOY_WEB_CORPUS), "--config", str(config),
-                            "--out", str(tmp_path / "t.jsonl"))
-        assert rc == 1
-        assert stderr.startswith("error: config key 'strict-format' must be one of")
-        assert f"got {value!r}" in stderr
-
-    def test_malformed_config_line(self, capsys, tmp_path):
-        config = tmp_path / "bad.conf"
-        config.write_text("this is not a pair\n")
-        rc, _, stderr = run(capsys, "build-kg", "--triples", str(TOY_KG), "--config", str(config))
-        assert rc == 1
-        assert "config" in stderr
-        assert f"line 1 of {config}" in stderr
-
-    @pytest.mark.parametrize("entry, complaint", [
-        ("max-iters=abc", "invalid literal for int() with base 10: 'abc'"),
-        ("top-k-docs=2.5", "invalid literal for int() with base 10: '2.5'"),
-    ])
-    def test_typed_key_that_does_not_convert_names_key_and_file(self, capsys, tmp_path, entry, complaint):
-        config = tmp_path / "run.conf"
-        config.write_text(f"{entry}\n")
-        rc, _, stderr = run(capsys, "rollout", "--kg", str(TOY_KG), "--qa", str(TOY_QA),
-                            "--web-corpus", str(TOY_WEB_CORPUS), "--config", str(config),
-                            "--out", str(tmp_path / "t.jsonl"))
-        assert rc == 1
-        key = entry.partition("=")[0]
-        assert stderr == f"error: config key {key!r} in {config}: {complaint}\n"
-
-
 class TestRolloutFlags:
     def test_offline_web_requires_corpus(self, capsys, tmp_path):
         rc, _, stderr = run(capsys, "rollout", "--kg", str(TOY_KG), "--qa", str(TOY_QA),
@@ -219,8 +153,6 @@ class TestRolloutFlags:
     @pytest.mark.parametrize("flag, value, field", [
         ("--max-iters", "0", "max_iterations"),
         ("--max-iters", "-2", "max_iterations"),
-        ("--top-k-relations", "0", "top_k_relations"),
-        ("--top-k-docs", "-1", "top_k_docs"),
     ])
     def test_counts_below_one_are_reported(self, capsys, tmp_path, flag, value, field):
         out = tmp_path / "t.jsonl"
@@ -229,6 +161,16 @@ class TestRolloutFlags:
         assert rc == 1
         assert f"error: {field} must be >= 1, got {value}" in stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("removed", [["--strict-format"], ["--top-k-docs", "3"], ["--config", "x"]],
+                             ids=["strict-format", "top-k-docs", "config"])
+    def test_removed_options_are_unrecognized(self, capsys, tmp_path, removed):
+        with pytest.raises(SystemExit) as exit_:
+            main(["rollout", "--kg", str(TOY_KG), "--qa", str(TOY_QA), "--web-corpus", str(TOY_WEB_CORPUS),
+                  "--out", str(tmp_path / "t.jsonl"), *removed])
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {' '.join(removed)}" in capsys.readouterr().err
+        assert not (tmp_path / "t.jsonl").exists()
 
 
 class TestAdvantagesFlags:
@@ -272,10 +214,8 @@ class TestRemoteBackends:
         # the scripted oracle searches the web: the graph lacks the plan's hop
         stub_server.route("/web", lambda body: (200, {"snippets": ["from the server"]}))
         kg, qa = self._inputs(tmp_path)
-        config = tmp_path / "run.conf"
-        config.write_text(f"web-corpus={TOY_WEB_CORPUS}\n")
         out = tmp_path / "t.jsonl"
-        rc, _, stderr = run(capsys, "rollout", "--kg", kg, "--qa", qa, "--config", str(config),
+        rc, _, stderr = run(capsys, "rollout", "--kg", kg, "--qa", qa, "--web-corpus", str(TOY_WEB_CORPUS),
                             "--web-url", stub_server.url("/web"), "--out", str(out))
         assert rc == 0, stderr
         assert [path for path, _ in stub_server.requests] == ["/web"]
@@ -315,12 +255,28 @@ class TestRemoteBackends:
         return str(kg), str(qa)
 
 
-@pytest.mark.parametrize("command", list(build_parser()[1]))
+#: Each subcommand and the options it takes, besides --help.
+COMMANDS = {
+    "build-kg": ("--triples", "--aliases", "--out"),
+    "sample-ikg": ("--triples", "--aliases", "--qa", "--fraction", "--seed", "--out-kg", "--out-log"),
+    "rollout": ("--kg", "--aliases", "--qa", "--policy-url", "--web-corpus", "--web-url", "--out", "--masks",
+                "--max-iters"),
+    "score": ("--traj", "--qa", "--ikg-log", "--out"),
+    "advantages": ("--scores", "--out"),
+    "filter-sft": ("--traj", "--qa", "--ikg-log", "--judge-url", "--out"),
+    "eval": ("--traj", "--qa", "--out"),
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
 def test_every_subcommand_formats_its_help(capsys, command):
     with pytest.raises(SystemExit) as exit_:
         main([command, "--help"])
     assert exit_.value.code == 0
-    assert capsys.readouterr().out.startswith(f"usage: kgqa {command}")
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: kgqa {command}")
+    options = re.findall(r"^  (?:-h, )?(--[a-z-]+)", out, re.MULTILINE)
+    assert options == ["--help", *COMMANDS[command]]
 
 
 def test_a_programming_error_propagates(monkeypatch):

@@ -62,6 +62,14 @@ class TestLoad:
         with pytest.raises(KGError, match="line 2: empty head, relation or tail"):
             load_triples(p)
 
+    def test_byte_order_mark_is_not_part_of_the_first_head(self, tmp_path):
+        p = tmp_path / "bom.tsv"
+        p.write_text("Iranian_rial\tcurrency_of\tIran\n", encoding="utf-8-sig")
+        kg = load_triples(p)
+        assert kg.triples == {Triple("Iranian_rial", "currency_of", "Iran")}
+        assert kg.resolve_entity("Iranian rial") == "Iranian_rial"
+        assert kg.neighbor_search("Iranian_rial", "currency_of") == {"Iran"}
+
     def test_blank_lines_are_skipped(self, tmp_path):
         p = tmp_path / "blank.tsv"
         p.write_text("\n  \na\tr\tb\n\t\t\n")
@@ -316,7 +324,7 @@ class TestNeighborSearch:
 
     def test_sentinel_variants_accepted(self):
         assert is_sentinel(SENTINEL)
-        assert is_sentinel("No information in the KG, please use web tool")
+        assert is_sentinel("  no information in KG,   please use web tool")
         assert not is_sentinel("Iran")
 
     def test_matches_brute_force_scan_on_random_graph(self):

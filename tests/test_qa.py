@@ -22,6 +22,13 @@ def test_round_trip(tmp_path):
     assert load_qa(path) == [ex]
 
 
+def test_byte_order_mark_is_skipped(tmp_path):
+    path = tmp_path / "qa.jsonl"
+    path.write_text('{"id": "q", "question": "?", "topic_entities": [], "answers": [["a"]]}\n', encoding="utf-8-sig")
+    (ex,) = load_qa(path)
+    assert (ex.id, ex.answers) == ("q", (("a",),))
+
+
 def test_plan_field_is_optional(tmp_path):
     path = tmp_path / "qa.jsonl"
     path.write_text('{"id": "q", "question": "?", "topic_entities": [], "answers": [["a"]]}\n')

@@ -13,6 +13,7 @@ from kgqa_env.rollout import (
     FORCE_ANSWER_DIRECTIVE,
     MALFORMED_TOOL_CALL,
     STOP_TAGS,
+    TOP_K_DOCS,
     WEB_UNAVAILABLE,
     Policy,
     RolloutConfig,
@@ -72,33 +73,32 @@ class ScriptedSegments(Policy):
 
 
 class TestRolloutConfig:
-    @pytest.mark.parametrize("field", ["max_iterations", "top_k_relations", "top_k_docs"])
+    @pytest.mark.parametrize("field", ["max_iterations"])
     @pytest.mark.parametrize("value", [0, -1, -2])
     def test_counts_below_one_are_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be >= 1, got {value}"):
             RolloutConfig(**{field: value})
 
     def test_one_is_the_smallest_count(self):
-        cfg = RolloutConfig(max_iterations=1, top_k_relations=1, top_k_docs=1)
-        assert (cfg.max_iterations, cfg.top_k_relations, cfg.top_k_docs) == (1, 1, 1)
+        assert RolloutConfig(max_iterations=1).max_iterations == 1
 
 
 class TestDispatch:
     def test_neighbor_lookup_uses_alias_resolution(self, tk1):
         step = Step("neighbor_search", "Iranian rial | currency_of")
-        info = dispatch_action(step, tk1, OfflineWebTool([]), RolloutConfig())
+        info = dispatch_action(step, tk1, OfflineWebTool([]))
         assert info.tag == "neighbor_information"
         assert info.content == "Iran"
 
     def test_removed_pair_gives_sentinel_exactly(self, tk1, tk1_example):
         ikg, _ = sample_ikg(tk1, [tk1_example], 1.0, seed=1)
         step = Step("neighbor_search", "Iranian rial | currency_of")
-        info = dispatch_action(step, ikg, OfflineWebTool([]), RolloutConfig())
+        info = dispatch_action(step, ikg, OfflineWebTool([]))
         assert info.content == SENTINEL
 
     def test_relation_search_lists_ranked_relations(self, toy_kg):
         step = Step("relation_search", "Germany | major_city")
-        info = dispatch_action(step, toy_kg, OfflineWebTool([]), RolloutConfig())
+        info = dispatch_action(step, toy_kg, OfflineWebTool([]))
         assert info.tag == "relation_information"
         assert info.content.split(", ")[0] == "major_city"
 
@@ -106,26 +106,26 @@ class TestDispatch:
         web = OfflineWebTool([(["iran"], f"doc {i}") for i in range(6)])
         kg = KnowledgeGraph.from_triples([Triple("a", "r", "b")])
         step = Step("web_search", "Iran | currency_of")
-        info = dispatch_action(step, kg, web, RolloutConfig(top_k_docs=3))
+        info = dispatch_action(step, kg, web)
         assert info.tag == "web_information"
-        assert len(info.content.splitlines()) == 3
+        assert len(info.content.splitlines()) == TOP_K_DOCS
 
     def test_malformed_content_is_in_band(self, tk1):
         for content in ("no delimiter here", " | rel", "head | "):
-            info = dispatch_action(Step("neighbor_search", content), tk1, OfflineWebTool([]), RolloutConfig())
+            info = dispatch_action(Step("neighbor_search", content), tk1, OfflineWebTool([]))
             assert info.content == MALFORMED_TOOL_CALL
 
     def test_web_transport_failure_is_in_band(self, tk1):
-        info = dispatch_action(Step("web_search", "a | b"), tk1, FailingWeb(), RolloutConfig())
+        info = dispatch_action(Step("web_search", "a | b"), tk1, FailingWeb())
         assert info.content == WEB_UNAVAILABLE
 
     def test_web_programming_error_propagates(self, tk1):
         with pytest.raises(AttributeError, match="programming error"):
-            dispatch_action(Step("web_search", "a | b"), tk1, BuggyWeb(), RolloutConfig())
+            dispatch_action(Step("web_search", "a | b"), tk1, BuggyWeb())
 
     def test_non_search_step_rejected(self, tk1):
         with pytest.raises(ValueError):
-            dispatch_action(Step("think", "x"), tk1, OfflineWebTool([]), RolloutConfig())
+            dispatch_action(Step("think", "x"), tk1, OfflineWebTool([]))
 
 
 class TestOracleRollout:
@@ -256,16 +256,7 @@ class TestForceFinalAnswer:
 
 
 class TestEngineEdges:
-    def test_strict_mode_raises_with_partial(self, tk1, tk1_example, tk1_web):
-        policy = ScriptedSegments([
-            "<plan>S1: Ans(country | currency_of(Iranian rial, ?))</plan>",
-            "<answer>unclosed",
-        ])
-        with pytest.raises(RolloutError) as err:
-            run_rollout(policy, tk1, tk1_web, tk1_example, RolloutConfig(strict_format=True))
-        assert [s.tag for s in err.value.partial.steps] == ["plan"]
-
-    def test_lenient_mode_drops_bad_segment_and_forces(self, tk1, tk1_example, tk1_web):
+    def test_unparseable_segment_is_dropped_and_the_answer_forced(self, tk1, tk1_example, tk1_web):
         policy = ScriptedSegments([
             "<plan>S1: Ans(country | currency_of(Iranian rial, ?))</plan>",
             "<think>oops<answer>x</answer>",   # nested: unparseable
@@ -362,13 +353,8 @@ def _reference_rollout(policy, kg, web, example, cfg=None):
         if action is None and not piece.strip():
             break
         try:
-            parsed = parse_trajectory(text + piece, question_id=example.id, strict=cfg.strict_format)
+            parsed = parse_trajectory(text + piece, question_id=example.id)
         except ParseError:
-            if cfg.strict_format:
-                raise RolloutError(
-                    "policy emitted an unparseable segment",
-                    partial=parse_trajectory(text, example.id),
-                ) from None
             break
         text += piece
         if action is None:
@@ -381,7 +367,7 @@ def _reference_rollout(policy, kg, web, example, cfg=None):
                 break
             planned = True
             continue
-        info = dispatch_action(parsed.steps[-1], kg, web, cfg)
+        info = dispatch_action(parsed.steps[-1], kg, web)
         text += "\n" + render_block(info.tag, info.content)
         iterations += 1
         if iterations >= cfg.max_iterations:
@@ -496,15 +482,10 @@ class Recorder(Policy):
 
 def _outcome(run, policy, kg, web, example, cfg):
     """Everything a rollout exposes: the trajectory (steps with spans, raw
-    text) or the strict-mode error with its partial trajectory, and the
-    conversations the policy was shown."""
+    text) and the conversations the policy was shown."""
     recorder = Recorder(policy)
-    try:
-        traj = run(recorder, kg, web, example, cfg)
-        result = ("trajectory", traj.question_id, traj.steps, traj.raw)
-    except RolloutError as err:
-        result = ("error", str(err), err.partial.question_id, err.partial.steps, err.partial.raw)
-    return result, recorder.conversations
+    traj = run(recorder, kg, web, example, cfg)
+    return (traj.question_id, traj.steps, traj.raw), recorder.conversations
 
 
 _CONTENTS = st.sampled_from([
@@ -590,9 +571,9 @@ class TestEquivalence:
     """Parsing each segment once gives what re-parsing everything gave."""
 
     @settings(max_examples=300, deadline=None)
-    @given(segments=_SEGMENTS, strict=st.booleans(), max_iterations=st.integers(1, 4))
-    def test_random_policies(self, tk1, tk1_example, tk1_web, segments, strict, max_iterations):
-        cfg = RolloutConfig(max_iterations=max_iterations, strict_format=strict)
+    @given(segments=_SEGMENTS, max_iterations=st.integers(1, 4))
+    def test_random_policies(self, tk1, tk1_example, tk1_web, segments, max_iterations):
+        cfg = RolloutConfig(max_iterations=max_iterations)
         expected = _outcome(_reference_rollout, ScriptedSegments(segments), tk1, tk1_web, tk1_example, cfg)
         assert _outcome(run_rollout, ScriptedSegments(segments), tk1, tk1_web, tk1_example, cfg) == expected
 

@@ -70,11 +70,6 @@ class TestParse:
         traj = parse_trajectory("<plan>P</plan>\n\n  <answer>A</answer>")
         assert [s.tag for s in traj.steps] == ["plan", "answer"]
 
-    def test_strict_mode_rejects_bare_text(self):
-        with pytest.raises(ParseError, match="strict"):
-            parse_trajectory("hello <plan>P</plan>", strict=True)
-        parse_trajectory("<plan>P</plan>", strict=True)
-
     @given(st.text(alphabet="<>/_ax&\n", max_size=40) | st.text(max_size=40))
     def test_neutralized_content_parses_back_as_one_block(self, content):
         safe = neutralize_tags(content)

@@ -55,7 +55,13 @@ def web_calls_per_tool_call(trajs: Sequence[Trajectory]) -> float:
 
 
 def build_report(trajs: Sequence[Trajectory], qa: Sequence[QAExample]) -> dict:
-    """Single-document eval report with both web-usage variants."""
+    """Single-document eval report with both web-usage variants. A
+    trajectory whose question has no QA record is a ``ValueError``: Hits@1
+    could not count it, and the web-usage ratios should not."""
+    known = {ex.id for ex in qa}
+    for t in trajs:
+        if t.question_id not in known:
+            raise ValueError(f"trajectory {t.question_id!r} has no QA record")
     return {
         "hits_at_1": hits_at_1(trajs, qa),
         "web_search_ratio": web_search_ratio(trajs),

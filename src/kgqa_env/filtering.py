@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from .jsonio import post_json
 from .kg import COVERAGE_CKG, COVERAGE_IKG, display
 from .plan import Ans, PlanError, expr_dependencies, parse_plan
-from .qa import QAExample
+from .qa import QAExample, build_prompt
 from .rewards import _concat_info, _covers, _f1, _gold_sets
-from .rollout import build_prompt
 from .text import normalize
 from .trajectory import (
     NEIGHBOR_INFORMATION,
@@ -37,16 +36,6 @@ RETRIEVAL_CKG_GRAPH_MISS = "RETRIEVAL_CKG_GRAPH_MISS"
 RETRIEVAL_IKG_WEB_ABSENT = "RETRIEVAL_IKG_WEB_ABSENT"
 RETRIEVAL_IKG_WEB_MISS = "RETRIEVAL_IKG_WEB_MISS"
 PLAN_JUDGE = "PLAN_JUDGE"
-
-ALL_CHECKS = (
-    FORMAT,
-    ANSWER_CHECK,
-    RETRIEVAL_CKG_WEB_PRESENT,
-    RETRIEVAL_CKG_GRAPH_MISS,
-    RETRIEVAL_IKG_WEB_ABSENT,
-    RETRIEVAL_IKG_WEB_MISS,
-    PLAN_JUDGE,
-)
 
 
 class JudgeError(RuntimeError):
@@ -131,7 +120,7 @@ def filter_trajectory(traj: Trajectory, example: QAExample, coverage: str, judge
         raise ValueError(f"coverage label must be {COVERAGE_CKG!r} or {COVERAGE_IKG!r}, got {coverage!r}")
     failed: list[str] = []
     gold_sets = _gold_sets(example.answers)
-    if not validate_format(traj).valid:
+    if validate_format(traj):
         failed.append(FORMAT)
     if _f1(set(answer_items(traj)), gold_sets) < 1.0:
         failed.append(ANSWER_CHECK)

@@ -43,11 +43,11 @@ def json_list(value: Any, field: str) -> list:
     return value
 
 
-def write_jsonl(records: Iterable[Any], path: str | Path, ensure_ascii: bool = False) -> None:
+def write_jsonl(records: Iterable[Any], path: str | Path) -> None:
     """Write one compact JSON document per line (UTF-8)."""
     with Path(path).open("w", encoding="utf-8") as fh:
         for rec in records:
-            fh.write(json.dumps(rec, ensure_ascii=ensure_ascii) + "\n")
+            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
 
 
 def post_json(url: str, payload: Any, field: str, timeout: float, error_cls: type[Exception]) -> Any:

@@ -1,4 +1,5 @@
-"""Question/answer records and their JSON-lines file format."""
+"""Question/answer records, their JSON-lines file format, and the prompt
+that shows a question to the policy."""
 
 from __future__ import annotations
 
@@ -6,8 +7,24 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .jsonio import json_list, read_jsonl
-from .kg import Triple
+from .kg import SENTINEL, Triple
 from .text import _STRIP_CHARS
+
+# Tag names are spelled without angle brackets here so the full conversation
+# (prompt plus generated text) stays parseable by the trajectory grammar.
+PROMPT_TEMPLATE = """You answer questions by reasoning over a knowledge graph with web fallback.
+Use only these XML-style tag blocks: think, plan, relation_search, neighbor_search,
+web_search, answer. Emit exactly one plan block listing sub-questions as
+'ID: Ans(type | relation(head, ?))' lines, combined with inter/union/negation over
+earlier ids. Resolve each sub-question with a relation_search then a neighbor_search
+tool call whose content is 'head | relation'. If the graph answers "{sentinel}",
+issue a web_search for the same 'head | relation'. Tool results arrive in matching
+relation_information / neighbor_information / web_information blocks. Finish with a
+single answer block, items separated by '; '.
+
+Question: {question}
+Topic entities: {topics}
+"""
 
 
 class QAError(Exception):
@@ -64,3 +81,9 @@ def load_qa(path: str | Path) -> list[QAExample]:
 
     return list(read_jsonl(path, QAError, "QA record", example))
 
+
+def build_prompt(example: QAExample) -> str:
+    """Instruction-plus-question prompt shown to the policy (and recorded as
+    the prompt field of SFT emissions)."""
+    topics = ", ".join(example.topic_entities) or "none"
+    return PROMPT_TEMPLATE.format(sentinel=SENTINEL, question=example.question, topics=topics)

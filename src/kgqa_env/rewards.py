@@ -111,7 +111,7 @@ def score_trajectory(traj: Trajectory, gold: Sequence[Sequence[str]], coverage: 
     ``r_graph`` (``r_web``) is 1 iff every gold answer has an alias in the
     normalized, joined neighbor_information (web_information) contents."""
     gold_sets = _gold_sets(gold)
-    format_ok = validate_format(traj).valid
+    format_ok = not validate_format(traj)
     r_ans = _f1(set(answer_items(traj)), gold_sets)
     r_acc = max(0.1, r_ans) if format_ok else 0.0
     r_graph = _covers(_concat_info(traj, NEIGHBOR_INFORMATION), gold_sets)

@@ -27,8 +27,8 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
-from .kg import KnowledgeGraph, SENTINEL
-from .qa import QAExample
+from .kg import KnowledgeGraph
+from .qa import QAExample, build_prompt
 from .text import normalize
 from .trajectory import (
     ANSWER,
@@ -63,22 +63,6 @@ TOP_K_DOCS = 3
 STOP_TAGS = [f"</{t}>" for t in (PLAN, *sorted(SEARCH_TAGS), ANSWER)]
 _CLOSE_TO_TAG = {f"</{t}>": t for t in (PLAN, *SEARCH_TAGS, ANSWER)}
 
-# Tag names are spelled without angle brackets here so the full conversation
-# (prompt plus generated text) stays parseable by the trajectory grammar.
-PROMPT_TEMPLATE = """You answer questions by reasoning over a knowledge graph with web fallback.
-Use only these XML-style tag blocks: think, plan, relation_search, neighbor_search,
-web_search, answer. Emit exactly one plan block listing sub-questions as
-'ID: Ans(type | relation(head, ?))' lines, combined with inter/union/negation over
-earlier ids. Resolve each sub-question with a relation_search then a neighbor_search
-tool call whose content is 'head | relation'. If the graph answers "{sentinel}",
-issue a web_search for the same 'head | relation'. Tool results arrive in matching
-relation_information / neighbor_information / web_information blocks. Finish with a
-single answer block, items separated by '; '.
-
-Question: {question}
-Topic entities: {topics}
-"""
-
 
 class RolloutError(RuntimeError):
     """Rollout aborted before it began or by its policy: the scripted oracle
@@ -108,13 +92,6 @@ class RolloutConfig:
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-
-
-def build_prompt(example: QAExample) -> str:
-    """Instruction-plus-question prompt shown to the policy (and recorded as
-    the prompt field of SFT emissions)."""
-    topics = ", ".join(example.topic_entities) or "none"
-    return PROMPT_TEMPLATE.format(sentinel=SENTINEL, question=example.question, topics=topics)
 
 
 def _cut_at_action(segment: str) -> tuple[str, str | None]:

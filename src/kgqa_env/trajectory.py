@@ -2,8 +2,10 @@
 
 A trajectory is a flat sequence of ``<tag>content</tag>`` blocks drawn from a
 closed vocabulary; no nesting, no attributes. Text found outside any block is
-kept as implicit think content (LLM output drifts). All operations here are
-pure functions over immutable values.
+kept as implicit think content (LLM output drifts). Parsing rejects text that
+breaks the grammar; validation reports, as a tuple of codes, the format rules
+a parsed trajectory breaks. All operations here are pure functions over
+immutable values.
 """
 
 from __future__ import annotations
@@ -67,18 +69,6 @@ class Step(NamedTuple):
     content: str
     span: tuple[int, int] | None = None
     implicit: bool = False
-
-
-class Violation(NamedTuple):
-    code: str
-    message: str
-    offset: int
-
-
-@dataclass(frozen=True)
-class FormatReport:
-    valid: bool
-    violations: tuple[Violation, ...]
 
 
 @dataclass(frozen=True)
@@ -156,51 +146,25 @@ def render_block(tag: str, content: str) -> str:
     return f"<{tag}>{content}</{tag}>"
 
 
-def validate_format(traj: Trajectory) -> FormatReport:
-    """Check the single-plan / plan-first / single-trailing-answer /
-    search-info pairing rules. The resulting flag gates the accuracy reward."""
-    violations: list[Violation] = []
-    steps = traj.steps
-
-    def offset(step: Step) -> int:
-        return step.span[0] if step.span else 0
-
-    plan_idx = [i for i, s in enumerate(steps) if s.tag == PLAN]
-    if len(plan_idx) != 1:
-        at = steps[plan_idx[1]] if len(plan_idx) > 1 else (steps[0] if steps else None)
-        violations.append(Violation(
-            PLAN_COUNT,
-            f"expected exactly one plan block, found {len(plan_idx)}",
-            offset(at) if at else 0,
-        ))
-    if plan_idx:
-        first_plan = plan_idx[0]
-        for i, s in enumerate(steps[:first_plan]):
-            if s.tag in SEARCH_TAGS:
-                violations.append(Violation(
-                    PLAN_NOT_FIRST_ACTION,
-                    f"search block <{s.tag}> precedes the plan block",
-                    offset(s),
-                ))
-                break
-    answer_idx = [i for i, s in enumerate(steps) if s.tag == ANSWER]
-    if len(answer_idx) != 1 or answer_idx[0] != len(steps) - 1:
-        where = steps[answer_idx[0]] if answer_idx else (steps[0] if steps else None)
-        violations.append(Violation(
-            ANSWER_COUNT,
-            f"expected a single answer block as the final step, found {len(answer_idx)}",
-            offset(where) if where else 0,
-        ))
-    for i, s in enumerate(steps):
-        if s.tag in INFO_TAGS:
-            expected = SEARCH_FOR[s.tag]
-            if i == 0 or steps[i - 1].tag != expected:
-                violations.append(Violation(
-                    ORPHAN_INFO,
-                    f"<{s.tag}> block is not immediately preceded by <{expected}>",
-                    offset(s),
-                ))
-    return FormatReport(valid=not violations, violations=tuple(violations))
+def validate_format(traj: Trajectory) -> tuple[str, ...]:
+    """The format rules ``traj`` breaks, as codes in rule order:
+    PLAN_COUNT (not exactly one plan block), PLAN_NOT_FIRST_ACTION (a search
+    block before the first plan), ANSWER_COUNT (not a single answer block as
+    the final step), then ORPHAN_INFO once per information block not right
+    after its search block. An empty result gates the accuracy reward."""
+    tags = [s.tag for s in traj.steps]
+    codes = []
+    if tags.count(PLAN) != 1:
+        codes.append(PLAN_COUNT)
+    if PLAN in tags and not SEARCH_TAGS.isdisjoint(tags[:tags.index(PLAN)]):
+        codes.append(PLAN_NOT_FIRST_ACTION)
+    if tags.count(ANSWER) != 1 or tags[-1] != ANSWER:
+        codes.append(ANSWER_COUNT)
+    codes.extend(
+        ORPHAN_INFO for i, tag in enumerate(tags)
+        if tag in INFO_TAGS and (i == 0 or tags[i - 1] != SEARCH_FOR[tag])
+    )
+    return tuple(codes)
 
 
 def _span_with_delimiters(step: Step) -> tuple[int, int]:
@@ -243,4 +207,4 @@ def write_trajectories(trajs: Iterable[Trajectory], path: str | Path) -> None:
 def write_masks(trajs: Iterable[Trajectory], path: str | Path) -> None:
     """Write a JSON-lines mask file ({"id", "masked_spans": [[start, end], ...]})."""
     records = ({"id": t.question_id, "masked_spans": [list(span) for span in retrieval_mask(t)]} for t in trajs)
-    write_jsonl(records, path, ensure_ascii=True)
+    write_jsonl(records, path)

@@ -164,11 +164,11 @@ def test_criterion_5_trajectory_grammar():
         with pytest.raises(ParseError):
             parse_trajectory("<lookup>x</lookup>")
         double_plan = parse_trajectory("<plan>a</plan><plan>b</plan><answer>x</answer>")
-        assert [v.code for v in validate_format(double_plan).violations] == [PLAN_COUNT]
+        assert list(validate_format(double_plan)) == [PLAN_COUNT]
         orphan = parse_trajectory(
             "<plan>a</plan><neighbor_information>x</neighbor_information><answer>x</answer>"
         )
-        assert [v.code for v in validate_format(orphan).violations] == [ORPHAN_INFO]
+        assert list(validate_format(orphan)) == [ORPHAN_INFO]
 
 
 def test_criterion_6_retrieval_masking_on_toy_rollouts():

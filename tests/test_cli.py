@@ -124,6 +124,17 @@ class TestPipeline:
         assert rc == 1
         assert stderr == "error: trajectory 'stray' has no QA record\n"
 
+    def test_eval_requires_a_qa_record_for_every_trajectory(self, workdir, capsys):
+        # a stray web-search trajectory would otherwise raise web_search_ratio from 0.40 to 0.423
+        traj = workdir / "stray.jsonl"
+        stray = "<plan>S1: x</plan><web_search>x | r</web_search><web_information>y</web_information><answer>a</answer>"
+        traj.write_text((workdir / "traj.jsonl").read_text() + json.dumps({"id": "stray", "text": stray}) + "\n")
+        report_path = workdir / "report.json"
+        rc, stdout, stderr = run(capsys, "eval", "--traj", str(traj), "--qa", str(TOY_QA), "--out", str(report_path))
+        assert (rc, stdout) == (1, "")
+        assert stderr == "error: trajectory 'stray' has no QA record\n"
+        assert not report_path.exists()
+
     def test_score_requires_coverage_for_every_question(self, workdir, capsys):
         empty_log = workdir / "empty.jsonl"
         empty_log.write_text("")

@@ -26,11 +26,6 @@ class TestJsonLines:
         path.write_text(path.read_text(encoding="utf-8") + "\n  \n", encoding="utf-8")
         assert list(read_jsonl(path, ValueError, "record")) == [{"id": "é"}, [1, 2]]
 
-    def test_ascii_escapes_on_request(self, tmp_path):
-        path = tmp_path / "recs.jsonl"
-        write_jsonl([{"id": "é"}], path, ensure_ascii=True)
-        assert path.read_text() == '{"id": "\\u00e9"}\n'
-
     def test_scores_file_bad_json_names_file_and_line(self, tmp_path):
         path = tmp_path / "scores.jsonl"
         path.write_text('{"id": "q1", "R_over": 1.0}\n{"id": "q2", \n')
@@ -116,7 +111,7 @@ _COMMAND_MODULES = {
     "rollout": {"kg", "qa", "web", "rollout", "policies", "plan", "trajectory", "jsonio", "text"},
     "score": {"rewards", "qa", "kg", "trajectory", "jsonio", "text"},
     "advantages": {"rewards", "kg", "trajectory", "jsonio", "text"},
-    "filter-sft": {"filtering", "rewards", "rollout", "web", "plan", "qa", "kg", "trajectory", "jsonio", "text"},
+    "filter-sft": {"filtering", "rewards", "plan", "qa", "kg", "trajectory", "jsonio", "text"},
     "eval": {"evaluate", "qa", "kg", "trajectory", "jsonio", "text"},
 }
 

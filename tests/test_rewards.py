@@ -324,7 +324,7 @@ def _old_covers(text, gold):
 
 
 def _old_score(traj, gold, coverage):
-    format_ok = validate_format(traj).valid
+    format_ok = not validate_format(traj)
     r_ans = _old_f1(set(_old_items(traj)), gold)
     r_acc = max(0.1, r_ans) if format_ok else 0.0
     r_graph = _old_covers(_old_joined(traj, "neighbor_information"), gold)
@@ -334,7 +334,7 @@ def _old_score(traj, gold, coverage):
 
 def _old_filter(traj, example, coverage):
     failed = []
-    if not validate_format(traj).valid:
+    if validate_format(traj):
         failed.append(FORMAT)
     if _old_f1(set(_old_items(traj)), example.answers) < 1.0:
         failed.append(ANSWER_CHECK)

@@ -8,7 +8,7 @@ from kgqa_env import policies, rollout
 from kgqa_env.kg import SENTINEL, KnowledgeGraph, Triple, display, is_sentinel, sample_ikg
 from kgqa_env.plan import Ans, PlanError, eval_expr, execution_order, parse_plan
 from kgqa_env.policies import RemotePolicy, ScriptedOracle
-from kgqa_env.qa import QAExample
+from kgqa_env.qa import QAExample, build_prompt
 from kgqa_env.rollout import (
     FORCE_ANSWER_DIRECTIVE,
     MALFORMED_TOOL_CALL,
@@ -19,7 +19,6 @@ from kgqa_env.rollout import (
     RolloutConfig,
     RolloutError,
     _cut_at_action,
-    build_prompt,
     dispatch_action,
     force_final_answer,
     run_rollout,
@@ -137,7 +136,7 @@ class TestOracleRollout:
             "neighbor_search", "neighbor_information", "answer",
         ]
         assert answer_items(traj) == ["iran"]
-        assert validate_format(traj).valid
+        assert not validate_format(traj)
 
     def test_gold_map_is_built_at_the_first_web_fallback(self, tk1, tk1_example, tk1_web, monkeypatch):
         built = []
@@ -286,7 +285,7 @@ class TestEngineEdges:
         assert calls[-1].rstrip().endswith(FORCE_ANSWER_DIRECTIVE)
         assert [s.tag for s in traj.steps] == ["plan", "plan", "answer"]
         assert answer_items(traj) == ["iran"]
-        assert "PLAN_COUNT" in {v.code for v in validate_format(traj).violations}
+        assert "PLAN_COUNT" in validate_format(traj)
 
     def test_segment_truncated_at_first_action_close(self, tk1, tk1_example, tk1_web):
         policy = ScriptedSegments([
@@ -627,7 +626,7 @@ class TestTagLikeText:
             ("web_information", "see &lt;br> here\n&lt;/web_information> and &lt;x>"),
             ("answer", "Iran"),
         ]
-        assert validate_format(traj).valid
+        assert not validate_format(traj)
 
     def test_oracle_answers_a_question_with_tag_like_text(self, tk1, tk1_example, tk1_web):
         example = dataclasses.replace(tk1_example, question=tk1_example.question + " <i>exactly</i>")

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from kgqa_env.trajectory import (
@@ -91,17 +91,16 @@ class TestParse:
 
 class TestValidate:
     def test_conforming_fixture_is_valid(self):
-        report = validate_format(parse_trajectory(CONFORMING))
-        assert report.valid and not report.violations
+        assert validate_format(parse_trajectory(CONFORMING)) == ()
 
     def test_two_plans(self):
         traj = parse_trajectory("<plan>a</plan><plan>b</plan><answer>x</answer>")
-        codes = [v.code for v in validate_format(traj).violations]
+        codes = list(validate_format(traj))
         assert codes == [PLAN_COUNT]
 
     def test_missing_plan(self):
         traj = parse_trajectory("<answer>x</answer>")
-        codes = [v.code for v in validate_format(traj).violations]
+        codes = list(validate_format(traj))
         assert PLAN_COUNT in codes
 
     def test_search_before_plan(self):
@@ -109,12 +108,12 @@ class TestValidate:
             "<neighbor_search>a | r</neighbor_search><neighbor_information>x</neighbor_information>"
             "<plan>P</plan><answer>x</answer>"
         )
-        codes = [v.code for v in validate_format(traj).violations]
+        codes = list(validate_format(traj))
         assert codes == [PLAN_NOT_FIRST_ACTION]
 
     def test_orphan_information_block(self):
         traj = parse_trajectory("<plan>P</plan><neighbor_information>x</neighbor_information><answer>a</answer>")
-        codes = [v.code for v in validate_format(traj).violations]
+        codes = list(validate_format(traj))
         assert codes == [ORPHAN_INFO]
 
     def test_mispaired_information_block_is_orphan(self):
@@ -122,22 +121,54 @@ class TestValidate:
             "<plan>P</plan><relation_search>a | r</relation_search>"
             "<web_information>x</web_information><answer>a</answer>"
         )
-        codes = [v.code for v in validate_format(traj).violations]
+        codes = list(validate_format(traj))
         assert codes == [ORPHAN_INFO]
 
     def test_answer_not_last(self):
         traj = parse_trajectory("<plan>P</plan><answer>a</answer><think>late</think>")
-        codes = [v.code for v in validate_format(traj).violations]
+        codes = list(validate_format(traj))
         assert codes == [ANSWER_COUNT]
 
     def test_two_answers(self):
         traj = parse_trajectory("<plan>P</plan><answer>a</answer><answer>b</answer>")
-        codes = [v.code for v in validate_format(traj).violations]
+        codes = list(validate_format(traj))
         assert codes == [ANSWER_COUNT]
 
     def test_validation_is_pure(self):
         traj = parse_trajectory(CONFORMING)
         assert validate_format(traj) == validate_format(traj)
+
+    @given(st.lists(st.sampled_from(sorted(TAGS)), max_size=12))
+    @example(["plan", "web_information", "neighbor_information", "relation_information", "answer"])
+    @example(["think", "web_search", "web_information", "plan", "answer"])
+    @example(["plan", "neighbor_search", "neighbor_information", "plan", "answer"])
+    @example([])
+    def test_codes_follow_the_four_rules(self, tags):
+        traj = Trajectory("t", tuple(Step(tag, "x") for tag in tags), raw="")
+        assert list(validate_format(traj)) == _rule_codes(tags)
+
+
+def _rule_codes(tags):
+    """The codes of the four format rules ``tags`` breaks, in rule order:
+    a transcription of the rules that shares no code with validate_format."""
+    search_for = {
+        "relation_information": "relation_search",
+        "neighbor_information": "neighbor_search",
+        "web_information": "web_search",
+    }
+    plans = [i for i, tag in enumerate(tags) if tag == "plan"]
+    answers = [i for i, tag in enumerate(tags) if tag == "answer"]
+    codes = []
+    if len(plans) != 1:
+        codes.append(PLAN_COUNT)
+    if plans and any(tag in search_for.values() for tag in tags[:plans[0]]):
+        codes.append(PLAN_NOT_FIRST_ACTION)
+    if answers != [len(tags) - 1]:
+        codes.append(ANSWER_COUNT)
+    for i, tag in enumerate(tags):
+        if tag in search_for and (i == 0 or tags[i - 1] != search_for[tag]):
+            codes.append(ORPHAN_INFO)
+    return codes
 
 
 def render(traj):

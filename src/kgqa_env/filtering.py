@@ -91,18 +91,20 @@ class RemoteJudge(Judge):
 
     def score(self, example: QAExample, plan_text: str) -> int:
         payload = {"question": example.question, "plan": plan_text}
-        score = post_json(self.url, payload, "score", self.timeout, JudgeError)
-        if score not in (0, 1):
-            raise JudgeError(f"judge returned malformed score {score!r}, expected 0 or 1")
-        return int(score)
+        return _checked_score(post_json(self.url, payload, "score", self.timeout, JudgeError))
+
+
+def _checked_score(score: object) -> int:
+    """``score`` if it is the int 0 or 1; else :class:`JudgeError`. A bool or
+    a float is refused although it compares equal to 0 or 1."""
+    if type(score) is not int or score not in (0, 1):
+        raise JudgeError(f"judge returned malformed score {score!r}, expected 0 or 1")
+    return score
 
 
 def judge_plan(example: QAExample, plan_text: str, judge: Judge) -> int:
     """Score a plan through the given judge, validating the {0, 1} contract."""
-    score = judge.score(example, plan_text)
-    if score not in (0, 1):
-        raise JudgeError(f"judge returned malformed score {score!r}, expected 0 or 1")
-    return score
+    return _checked_score(judge.score(example, plan_text))
 
 
 def filter_trajectory(traj: Trajectory, example: QAExample, coverage: str, judge: Judge) -> FilterVerdict:

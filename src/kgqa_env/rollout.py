@@ -14,8 +14,8 @@ empty or ends at a closing tag (a segment is cut at the closing delimiter of
 its action, and injected information blocks are closed and never contain
 tag-like text), so the grammar starts afresh where the new piece begins and
 no tag can span the boundary. The piece parses to the steps a parse of the
-whole text would end with, and fails exactly when that parse would. The
-whole text is parsed once more at the end, to build the returned trajectory.
+whole text would end with, and fails exactly when that parse would, so the
+steps the engine collects are the steps of the returned text.
 
 Distinct rollouts may run concurrently: they share only the immutable graph
 and a web tool that tolerates concurrent queries; policy and conversation
@@ -148,10 +148,7 @@ def force_final_answer(policy: Policy, conversation: str) -> Step:
         parsed = parse_trajectory(segment)
     except ParseError:
         return Step(ANSWER, "")
-    for s in parsed.steps:
-        if s.tag == ANSWER:
-            return Step(ANSWER, s.content)
-    return Step(ANSWER, "")
+    return next((s for s in parsed.steps if s.tag == ANSWER), Step(ANSWER, ""))
 
 
 def run_rollout(
@@ -172,6 +169,7 @@ def run_rollout(
     prompt = build_prompt(example)
     policy.reset(example)
     text = ""
+    steps: list[Step] = []
     iterations = 0
     answered = planned = False
 
@@ -181,10 +179,11 @@ def run_rollout(
         if action is None and not piece.strip():
             break
         try:
-            parsed = parse_trajectory(piece, question_id=example.id)
+            parsed = parse_trajectory(piece)
         except ParseError:
             break  # drop the segment, direct an immediate answer
         text += piece
+        steps.extend(parsed.steps)
         if action is None:
             # End of output without an action: keep the parseable trailing
             # text (e.g. a think block) and fall through to the forced answer.
@@ -199,6 +198,7 @@ def run_rollout(
             continue
         info = dispatch_action(parsed.steps[-1], kg, web)
         text += "\n" + render_block(info.tag, info.content)
+        steps.append(info)
         iterations += 1
         if iterations >= cfg.max_iterations:
             break
@@ -206,4 +206,5 @@ def run_rollout(
     if not answered:
         answer = force_final_answer(policy, prompt + text)
         text += ("\n" if text else "") + render_block(answer.tag, answer.content)
-    return parse_trajectory(text, question_id=example.id)
+        steps.append(answer)
+    return Trajectory(example.id, tuple(steps), text)

@@ -2,9 +2,9 @@
 
 A trajectory is a flat sequence of ``<tag>content</tag>`` blocks drawn from a
 closed vocabulary; no nesting, no attributes. Text found outside any block is
-kept as implicit think content (LLM output drifts). Parsing rejects text that
-breaks the grammar; validation reports, as a tuple of codes, the format rules
-a parsed trajectory breaks. All operations here are pure functions over
+kept as think content (LLM output drifts). Parsing rejects text that breaks
+the grammar; validation reports, as a tuple of codes, the format rules a
+parsed trajectory breaks. All operations here are pure functions over
 immutable values.
 """
 
@@ -50,6 +50,7 @@ ANSWER_COUNT = "ANSWER_COUNT"
 ORPHAN_INFO = "ORPHAN_INFO"
 
 _TAG_RE = re.compile(r"</?([A-Za-z_][A-Za-z0-9_]*)>")
+_INFO_BLOCK_RE = re.compile(rf"<({'|'.join(sorted(INFO_TAGS))})>.*?</\1>", re.DOTALL)
 
 
 class ParseError(ValueError):
@@ -61,14 +62,10 @@ class ParseError(ValueError):
 
 
 class Step(NamedTuple):
-    """One tagged block. ``span`` is the (start, end) of the content between
-    the delimiters in the source text (None for hand-built steps); implicit
-    steps are bare text adopted as think content and carry no delimiters."""
+    """One tagged block: its tag and the text between its delimiters."""
 
     tag: str
     content: str
-    span: tuple[int, int] | None = None
-    implicit: bool = False
 
 
 @dataclass(frozen=True)
@@ -89,7 +86,7 @@ class Trajectory:
 def parse_trajectory(text: str, question_id: str = "") -> Trajectory:
     """Segment tagged text into steps, in source order.
 
-    Bare text between blocks becomes an implicit think step (skipped when
+    Bare text between blocks becomes a think step, stripped (skipped when
     whitespace-only). Unknown tags, nested tags, unclosed tags and stray
     closing tags all raise :class:`ParseError` with the offending offset.
     """
@@ -99,12 +96,10 @@ def parse_trajectory(text: str, question_id: str = "") -> Trajectory:
     content_start = 0
     open_offset = 0
 
-    def adopt_bare(chunk: str, start: int) -> None:
+    def adopt_bare(chunk: str) -> None:
         stripped = chunk.strip()
-        if not stripped:
-            return
-        lead = chunk.index(stripped[0])
-        steps.append(Step(THINK, stripped, (start + lead, start + lead + len(stripped)), implicit=True))
+        if stripped:
+            steps.append(Step(THINK, stripped))
 
     for m in _TAG_RE.finditer(text):
         name = m.group(1)
@@ -114,7 +109,7 @@ def parse_trajectory(text: str, question_id: str = "") -> Trajectory:
                 raise ParseError(f"closing tag </{name}> without matching opening tag", m.start())
             if name not in TAGS:
                 raise ParseError(f"unknown tag <{name}>: only the defined tag vocabulary is allowed", m.start())
-            adopt_bare(text[pos:m.start()], pos)
+            adopt_bare(text[pos:m.start()])
             open_tag = name
             open_offset = m.start()
             content_start = m.end()
@@ -123,12 +118,12 @@ def parse_trajectory(text: str, question_id: str = "") -> Trajectory:
                 raise ParseError(f"nested tag <{name}> inside <{open_tag}> block", m.start())
             if name != open_tag:
                 raise ParseError(f"closing tag </{name}> does not match open <{open_tag}> block", m.start())
-            steps.append(Step(open_tag, text[content_start:m.start()], (content_start, m.start())))
+            steps.append(Step(open_tag, text[content_start:m.start()]))
             open_tag = None
             pos = m.end()
     if open_tag is not None:
         raise ParseError(f"unclosed <{open_tag}> block", open_offset)
-    adopt_bare(text[pos:], pos)
+    adopt_bare(text[pos:])
     return Trajectory(question_id, tuple(steps), text)
 
 
@@ -167,20 +162,12 @@ def validate_format(traj: Trajectory) -> tuple[str, ...]:
     return tuple(codes)
 
 
-def _span_with_delimiters(step: Step) -> tuple[int, int]:
-    if step.span is None:
-        raise ValueError("step has no source span; retrieval_mask needs a parsed trajectory")
-    start, end = step.span
-    if step.implicit:
-        return start, end
-    return start - len(step.tag) - 2, end + len(step.tag) + 3
-
-
 def retrieval_mask(traj: Trajectory) -> list[tuple[int, int]]:
-    """Char spans of every information block (content plus delimiters),
-    disjoint and sorted. These spans are excluded from the training loss:
-    the policy did not generate the retrieved text."""
-    return [_span_with_delimiters(s) for s in traj.steps if s.tag in INFO_TAGS]
+    """Char spans in ``traj.raw`` of every information block (content plus
+    delimiters), disjoint and sorted. These spans are excluded from the
+    training loss: the policy did not generate the retrieved text. Exact on
+    any text that parses, because no block holds a tag."""
+    return [m.span() for m in _INFO_BLOCK_RE.finditer(traj.raw)]
 
 
 def answer_items(traj: Trajectory) -> list[str]:

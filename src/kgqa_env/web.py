@@ -91,6 +91,6 @@ class RemoteWebTool(WebTool):
 
     def search(self, query: str, k: int) -> list[str]:
         snippets = post_json(self.url, {"query": query, "k": k}, "snippets", self.timeout, WebToolError)
-        if not isinstance(snippets, list):
-            raise WebToolError(f"POST to {self.url} failed: 'snippets' is not a list: {snippets!r}")
-        return [str(s) for s in snippets][:k]
+        if not isinstance(snippets, list) or not all(isinstance(s, str) for s in snippets):
+            raise WebToolError(f"POST to {self.url} failed: 'snippets' is not a list of strings: {snippets!r}")
+        return snippets[:k]

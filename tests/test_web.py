@@ -97,6 +97,11 @@ class TestRemoteWeb:
         tool = RemoteWebTool(stub_server.url("/web"))
         assert tool.search("some query", k=2) == ["doc a", "doc b"]
 
+    def test_non_string_snippet_raises(self, stub_server):
+        stub_server.route("/web", lambda body: (200, {"snippets": [None]}))
+        with pytest.raises(WebToolError, match="not a list of strings"):
+            RemoteWebTool(stub_server.url("/web")).search("q", k=1)
+
     def test_transport_failure_raises(self, stub_server):
         tool = RemoteWebTool(stub_server.url("/missing"), timeout=5)
         with pytest.raises(WebToolError):

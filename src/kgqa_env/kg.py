@@ -15,6 +15,7 @@ import gc
 import math
 import random
 import sys
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
@@ -175,9 +176,12 @@ class KnowledgeGraph:
         makes the ranking fully deterministic. Unknown entities yield an
         empty list.
 
-        The edit distance is computed only for relations whose Jaccard is at
-        least the ``k``-th best. The cut is exact: every relation below it
-        has ``k`` relations with a higher Jaccard ahead of it.
+        Only relations whose Jaccard is at least the ``k``-th best are kept.
+        The cut is exact: every relation below it has ``k`` relations with a
+        higher Jaccard ahead of it. A kept relation whose Jaccard no other
+        kept relation shares is placed by its Jaccard alone; the edit
+        distances of the rest come from one batched :func:`levenshtein`
+        call, and none is computed when no two kept relations tie.
 
         When more than ``k`` relations are attached, the token index finds
         those that share a word with the hypothesis, and if there are at
@@ -204,8 +208,10 @@ class KnowledgeGraph:
         if len(by_jaccard) > k:
             cut = by_jaccard[k - 1][0]
             by_jaccard = [pair for pair in by_jaccard if pair[0] <= cut]
-        hyp = hypothesis.lower()
-        ranked = sorted(by_jaccard, key=lambda pair: (pair[0], levenshtein(hyp, pair[1].lower()), pair[1]))
+        shared = Counter(score for score, _ in by_jaccard)
+        tied = [rel for score, rel in by_jaccard if shared[score] > 1]
+        distance = dict(zip(tied, levenshtein(hypothesis.lower(), [rel.lower() for rel in tied]))) if tied else {}
+        ranked = sorted(by_jaccard, key=lambda pair: (pair[0], distance.get(pair[1], 0), pair[1]))
         return [rel for _, rel in ranked[:k]]
 
     def neighbor_search(self, entity: str, relation: str) -> set[str] | str:

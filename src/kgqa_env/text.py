@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 import string
+from typing import Sequence
 
 _WORD = re.compile(r"[^\W_]+")
 #: Every character ``str.split()`` and ``re``'s ``\s`` split on: ASCII
@@ -37,41 +38,53 @@ def token_jaccard(a: set[str] | frozenset[str], b: set[str] | frozenset[str]) ->
     return len(a & b) / len(a | b)
 
 
-def levenshtein(a: str, b: str) -> int:
-    """Edit distance (unit-cost insert, delete, substitute) by the
-    bit-parallel algorithm of Myers (1999) in Hyyrö's formulation: the
-    longer string becomes one bitmask per distinct character, held in a
-    Python int, and each character of the shorter string updates the whole
-    column of vertical deltas in a constant number of integer operations."""
-    if a == b:
-        return 0
-    if len(a) < len(b):
-        a, b = b, a
-    m = len(a)
-    if not b:
-        return m
-    peq: dict[str, int] = {}
-    bit = 1
+def levenshtein(a: str, others: Sequence[str]) -> list[int]:
+    """Edit distance (unit-cost insert, delete, substitute) from ``a`` to
+    each string of ``others``, in order.
+
+    One bit-parallel pass over ``a`` computes them all: the algorithm of
+    Myers (1999) in Hyyrö's formulation, with the strings of ``others``
+    packed side by side as in Hyyrö, Fredriksson and Navarro, "Increased
+    bit-parallelism for approximate and multiple string matching" (JEA
+    2005). Each string is a segment of one Python int, one bit per
+    character, with a zero guard bit above it that absorbs the carry of the
+    addition. Each character of ``a`` updates every segment's column of
+    vertical deltas in a constant number of integer operations; the shifts
+    are masked to the segments, and each segment shifts in its own top-row
+    +1 (D[0][j] = j). After the pass a segment's distance is ``len(a)``,
+    the top row's last value, plus its +1 deltas minus its -1 deltas.
+    """
+    peq: dict[str, int] = {}  # character -> its positions in every segment
+    offsets = []
+    lows = guards = 0
+    offset = 0
+    for other in others:
+        offsets.append(offset)
+        if not other:
+            continue
+        bit = 1 << offset
+        lows |= bit
+        for ch in other:
+            peq[ch] = peq.get(ch, 0) | bit
+            bit <<= 1
+        guards |= bit
+        offset += len(other) + 1
+    mask = ((1 << offset) - 1) ^ guards
+    pv, mv = mask, 0
     for ch in a:
-        peq[ch] = peq.get(ch, 0) | bit
-        bit <<= 1
-    mask = bit - 1
-    last = bit >> 1
-    pv, mv, score = mask, 0, m
-    for ch in b:
         eq = peq.get(ch, 0)
         xv = eq | mv
+        # eq and pv are 0 on the guards, so a carry out of a segment stops at its guard
         xh = (((eq & pv) + pv) ^ pv) | eq
         ph = mv | (~(xh | pv) & mask)
         mh = pv & xh
-        if ph & last:
-            score += 1
-        elif mh & last:
-            score -= 1
-        # the shifted-in 1 is the top row's +1 step: D[0][j] = j
-        ph = ((ph << 1) | 1) & mask
+        ph = ((ph << 1) | lows) & mask
         mh = (mh << 1) & mask
         pv = mh | (~(xv | ph) & mask)
         mv = ph & xv
-    return score
-
+    n = len(a)
+    distances = []
+    for other, offset in zip(others, offsets):
+        segment = (1 << len(other)) - 1
+        distances.append(n + ((pv >> offset) & segment).bit_count() - ((mv >> offset) & segment).bit_count())
+    return distances

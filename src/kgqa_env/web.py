@@ -34,8 +34,9 @@ class WebToolError(Exception):
 
 class WebTool(ABC):
     """Search interface used by the rollout engine. Implementations must be
-    safe for concurrent queries, return at most ``k`` snippets and report a
-    backend failure as :class:`WebToolError`."""
+    safe for concurrent queries, return at most ``k`` snippets, raise
+    ``ValueError`` for ``k`` below 1 and report a backend failure as
+    :class:`WebToolError`."""
 
     @abstractmethod
     def search(self, query: str, k: int) -> list[str]:
@@ -69,6 +70,8 @@ class OfflineWebTool(WebTool):
         ))
 
     def search(self, query: str, k: int) -> list[str]:
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
         terms = set(word_tokens(query))
         hits = []
         for term in terms:
@@ -90,6 +93,8 @@ class RemoteWebTool(WebTool):
         self.timeout = timeout
 
     def search(self, query: str, k: int) -> list[str]:
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
         snippets = post_json(self.url, {"query": query, "k": k}, "snippets", self.timeout, WebToolError)
         if not isinstance(snippets, list) or not all(isinstance(s, str) for s in snippets):
             raise WebToolError(f"POST to {self.url} failed: 'snippets' is not a list of strings: {snippets!r}")

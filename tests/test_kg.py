@@ -1,5 +1,6 @@
 import gc
 import random
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,7 @@ from kgqa_env.kg import (
     write_triples,
 )
 from kgqa_env.qa import QAExample
+from kgqa_env.text import levenshtein
 from kgqa_env.web import OfflineWebTool
 
 _TK1 = Path(__file__).parent / "data" / "tk1.tsv"
@@ -206,6 +208,21 @@ def _hubs_around_k(draw):
     return sorted(set(sharing) | set(others)), hyp, k
 
 
+@contextmanager
+def _levenshtein_calls():
+    """Record the strings of each call ``relation_search`` makes to the
+    edit distance, through the module global it calls."""
+    calls = []
+
+    def counting(a, others):
+        calls.append(list(others))
+        return levenshtein(a, others)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kgqa_kg, "levenshtein", counting)
+        yield calls
+
+
 class TestRelationSearch:
     def test_default_k_is_15(self):
         triples = [Triple("e", f"rel_{i}", "t") for i in range(30)]
@@ -258,7 +275,31 @@ class TestRelationSearch:
         kg = KnowledgeGraph.from_triples(Triple("hub", r, f"t{i}") for i, r in enumerate(sorted(rels)))
         expected = _rank_oracle(kg, "hub", hyp)
         for k in (1, 15, n_rels + 1):
-            assert kg.relation_search("hub", hyp, k=k) == expected[:k]
+            with _levenshtein_calls() as calls:
+                assert kg.relation_search("hub", hyp, k=k) == expected[:k]
+            # one batched call at most, and only over relations that tie
+            assert len(calls) <= 1 and all(len(others) >= 2 for others in calls)
+
+    def test_untied_relations_take_no_edit_distance(self, tk1):
+        # "used in country": Jaccard 1, 1/3 and 1/5, all different
+        kg = KnowledgeGraph.from_triples(Triple("e", r, "t") for r in ["used_in_country", "country", "film_by_used"])
+        with _levenshtein_calls() as calls:
+            assert tk1.relation_search("Analyze_That", "anything at all") == ["written_by"]
+            assert kg.relation_search("e", "used in country") == ["used_in_country", "country", "film_by_used"]
+            assert kg.relation_search("e", "used in country") == _rank_oracle(kg, "e", "used in country")
+        assert calls == []
+
+    @pytest.mark.parametrize("hyp", ["", "?!", " . __"])
+    def test_tokenless_hypothesis_ties_a_whole_hub_in_one_call(self, hyp):
+        # every relation scores Jaccard 0, so all 300 tie at the 15th place
+        rng = random.Random(3)
+        rels = set()
+        while len(rels) < 300:
+            rels.add(rng.choice("_.").join(rng.choices(_HUB_WORDS, k=rng.randint(1, 3))))
+        kg = KnowledgeGraph.from_triples(Triple("hub", r, "t") for r in rels)
+        with _levenshtein_calls() as calls:
+            assert kg.relation_search("hub", hyp) == _rank_oracle(kg, "hub", hyp)[:15]
+        assert len(calls) == 1 and sorted(calls[0]) == sorted(r.lower() for r in rels)
 
     @settings(max_examples=300, deadline=None)
     @given(case=_hubs_around_k())
@@ -268,7 +309,9 @@ class TestRelationSearch:
         # it, the ranking is the exhaustive one.
         rels, hyp, k = case
         kg = KnowledgeGraph.from_triples(Triple("hub", r, f"t{i}") for i, r in enumerate(rels))
-        assert kg.relation_search("hub", hyp, k=k) == _rank_oracle(kg, "hub", hyp)[:k]
+        with _levenshtein_calls() as calls:
+            assert kg.relation_search("hub", hyp, k=k) == _rank_oracle(kg, "hub", hyp)[:k]
+        assert len(calls) <= 1 and all(len(others) >= 2 for others in calls)
 
     def test_fewer_than_k_sharing_still_fills_k(self):
         kg = KnowledgeGraph.from_triples(Triple("hub", r, "t") for r in ["place_of_birth", "film", "ßß", "country"])

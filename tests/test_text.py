@@ -13,6 +13,9 @@ from test_kg import _edit_distance_oracle
 # long strategy crosses the 64-bit word boundary of a fixed-width version.
 _ALPHABET = "ab_. é漢😀"
 _STRINGS = st.text(_ALPHABET, max_size=12) | st.text(_ALPHABET, min_size=60, max_size=140)
+# 0-20 strings drawn from a pool of at most 8, so duplicates are common
+_STRING_LISTS = st.lists(_STRINGS, min_size=1, max_size=8).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), max_size=20))
 
 
 def test_normalize_lowers_trims_and_collapses():
@@ -72,17 +75,17 @@ def test_token_jaccard():
 
 
 def test_levenshtein_known_values():
-    assert levenshtein("kitten", "sitting") == 3
-    assert levenshtein("abc", "abc") == 0
-    assert levenshtein("", "abc") == 3
+    assert levenshtein("kitten", ["sitting", "kitten", "", "sitting"]) == [3, 0, 6, 3]
+    assert levenshtein("", ["abc", ""]) == [3, 0]
+    assert levenshtein("abc", []) == []
 
 
-@settings(max_examples=150, deadline=None)
-@given(_STRINGS, _STRINGS)
-@example("", "")
-@example("", "漢字")
-@example("a" * 70, "a" * 65 + "b")
-@example("ab" * 65, "ba" * 64)
-def test_levenshtein_matches_full_matrix_dp(a, b):
-    assert levenshtein(a, b) == levenshtein(b, a) == _edit_distance_oracle(a, b)
-
+@settings(max_examples=300, deadline=None)
+@given(_STRINGS, _STRING_LISTS)
+@example("", [])
+@example("", ["", "漢字"])
+@example("a" * 70, ["a" * 65 + "b", "", "a" * 70, "ab" * 65])
+@example("ab" * 65, ["ba" * 64, "b", "ba" * 64])
+def test_levenshtein_matches_full_matrix_dp(a, others):
+    # one segment per string; long strings cross the 64-bit word boundary
+    assert levenshtein(a, others) == [_edit_distance_oracle(a, b) for b in others]

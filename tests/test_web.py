@@ -41,6 +41,11 @@ class TestOfflineCorpus:
         tool = OfflineWebTool([(["x"], f"doc {i}") for i in range(10)])
         assert len(tool.search("x", k=3)) == 3
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_is_rejected(self, k):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            self._tool().search("iranian rial currency", k)
+
     def test_corpus_order_breaks_ties(self):
         tool = OfflineWebTool([(["x"], "first"), (["x"], "second")])
         assert tool.search("x y z", k=2) == ["first", "second"]
@@ -96,6 +101,13 @@ class TestRemoteWeb:
         stub_server.route("/web", serve)
         tool = RemoteWebTool(stub_server.url("/web"))
         assert tool.search("some query", k=2) == ["doc a", "doc b"]
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_is_rejected_without_a_request(self, stub_server, k):
+        stub_server.route("/web", lambda body: (200, {"snippets": ["doc a", "doc b"]}))
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            RemoteWebTool(stub_server.url("/web")).search("q", k)
+        assert stub_server.requests == []
 
     def test_non_string_snippet_raises(self, stub_server):
         stub_server.route("/web", lambda body: (200, {"snippets": [None]}))

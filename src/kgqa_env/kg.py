@@ -4,7 +4,7 @@ incomplete-graph variants with a per-question removal log.
 A :class:`KnowledgeGraph` is immutable after construction and safe to share
 across concurrent rollouts. :func:`sample_ikg` returns a new graph that
 always shares with its base the alias map, the resolver, both relation
-ranking maps, the tail sets of untouched pairs and the relation sets of
+ranking maps, the tail tuples of untouched pairs and the relation sets of
 untouched heads. The sharing is safe because neither graph ever mutates them.
 """
 
@@ -92,18 +92,20 @@ def gc_paused(loader: _F) -> _F:
 
 def _build_indices(
     triples: Iterable[tuple[str, str, str]],
-) -> tuple[dict[str, frozenset[str]], dict[tuple[str, str], frozenset[str]], frozenset[str]]:
+) -> tuple[dict[str, frozenset[str]], dict[tuple[str, str], tuple[str, ...]], frozenset[str]]:
     """Derive (head index, pair index, relation vocabulary) from triples;
-    duplicates collapse."""
+    duplicates collapse. Each pair's tails are a sorted tuple without
+    repeats, so equal triple sets give equal indexes in any order."""
     head_sets: dict[str, set[str]] = {}
-    pair_sets: dict[tuple[str, str], set[str]] = {}
+    pair_lists: dict[tuple[str, str], list[str]] = {}
     relations: set[str] = set()
     for head, relation, tail in triples:
         head_sets.setdefault(head, set()).add(relation)
-        pair_sets.setdefault((head, relation), set()).add(tail)
+        pair_lists.setdefault((head, relation), []).append(tail)
         relations.add(relation)
     head_index = {h: frozenset(rs) for h, rs in head_sets.items()}
-    pair_index = {hr: frozenset(ts) for hr, ts in pair_sets.items()}
+    # most pairs hold one tail, which needs neither the dedup nor the sort
+    pair_index = {hr: tuple(ts) if len(ts) == 1 else tuple(sorted(set(ts))) for hr, ts in pair_lists.items()}
     return head_index, pair_index, frozenset(relations)
 
 
@@ -111,9 +113,12 @@ def _build_indices(
 class KnowledgeGraph:
     """Immutable, fully indexed triple store with an entity alias map.
 
-    Stored: the relations of each head, the tails of each (head, relation)
-    pair, the alias file's names of each entity it lists (in file order,
-    without repeats), the resolver from normalized surface text to entity,
+    Stored: the relations of each head (a frozenset, which
+    :meth:`relation_search` intersects), the tails of each (head, relation)
+    pair (a sorted tuple without repeats: most pairs hold one tail, and a
+    1-tuple takes under a quarter of a 1-element frozenset's bytes), the
+    alias file's names of each entity it lists (in file order, without
+    repeats), the resolver from normalized surface text to entity,
     and the two relation ranking maps. Derived on first read:
     :attr:`triples` from ``pair_index`` and :attr:`relations` from
     ``head_index``. An entity's display text is :func:`display` of its id.
@@ -124,7 +129,7 @@ class KnowledgeGraph:
     """
 
     head_index: dict[str, frozenset[str]]
-    pair_index: dict[tuple[str, str], frozenset[str]]
+    pair_index: dict[tuple[str, str], tuple[str, ...]]
     aliases: dict[str, tuple[str, ...]]
     _resolve: dict[str, str]
     _relation_tokens: dict[str, frozenset[str]]  # relation -> its word tokens
@@ -333,8 +338,9 @@ def sample_ikg(
 def _without_edges(kg: KnowledgeGraph, purged_tails: dict[str, set[str]]) -> KnowledgeGraph:
     """``kg`` without any triple from a head to one of its ``purged_tails``.
 
-    Only the purged heads' pairs are rebuilt. Every other container is the
-    base graph's own, and the entity set is the base's (the aliases are).
+    Only the purged heads' pairs are rebuilt, each as the base's tail tuple
+    without the purged tails, which keeps it sorted. Every other container
+    is the base graph's own, and the entity set is the base's (the aliases are).
     So the result's indexes, relations and resolver equal those of
     ``from_triples`` over the survivors with the base's entities as alias
     keys; its ranking maps are the base's, which rank alike (see
@@ -349,9 +355,9 @@ def _without_edges(kg: KnowledgeGraph, purged_tails: dict[str, set[str]]) -> Kno
         kept = set(attached)
         for relation in attached:
             tails = pair_index[(head, relation)]
-            if tails.isdisjoint(drop):
+            if drop.isdisjoint(tails):
                 continue
-            left = tails - drop
+            left = tuple(t for t in tails if t not in drop)
             if left:
                 pair_index[(head, relation)] = left
             else:
@@ -400,5 +406,5 @@ def write_triples(kg: KnowledgeGraph, path: str | Path) -> None:
     """Write the triple set as sorted, deduplicated TSV."""
     with Path(path).open("w", encoding="utf-8") as fh:
         for (head, relation), tails in sorted(kg.pair_index.items()):
-            for tail in sorted(tails):
+            for tail in tails:
                 fh.write(f"{head}\t{relation}\t{tail}\n")

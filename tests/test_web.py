@@ -1,3 +1,10 @@
+import json
+import random
+import re
+import tempfile
+import tracemalloc
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,7 +13,8 @@ from kgqa_env.text import word_tokens
 from kgqa_env.web import OfflineWebTool, RemoteWebTool, WebToolError
 
 # "two words" and "Caps" are never word terms of a query, so records that
-# carry them never match.
+# carry them never match; OfflineWebTool.from_path rejects them, the
+# constructor does not.
 _KEYS = ["capital", "city", "of", "denmark", "rial", "two words", "Caps"]
 
 
@@ -83,12 +91,54 @@ class TestOfflineCorpus:
         with pytest.raises(WebToolError, match="line 1"):
             OfflineWebTool.from_path(path)
 
+    @pytest.mark.parametrize("key", ["Caps", "two words", "", "currency_of", "iran's"])
+    def test_key_no_query_can_match_names_key_and_line(self, tmp_path, key):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(json.dumps({"keys": ["iran"], "snippet": "Iran."}) + "\n"
+                        + json.dumps({"keys": ["rial", key], "snippet": "The rial."}) + "\n")
+        with pytest.raises(WebToolError, match=f"line 2 of {path}: key {re.escape(repr(key))} matches no query"):
+            OfflineWebTool.from_path(path)
+
+    @settings(deadline=None)
+    @given(key=st.text(max_size=4))
+    def test_rejects_exactly_the_keys_no_query_can_hold(self, key):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "corpus.jsonl"
+            path.write_text(json.dumps({"keys": [key], "snippet": "S."}) + "\n")
+            if word_tokens(key) == [key]:
+                assert OfflineWebTool.from_path(path).search(key, 1) == ["S."]
+            else:
+                with pytest.raises(WebToolError, match="matches no query"):
+                    OfflineWebTool.from_path(path)
 
     def test_string_keys_are_not_a_list(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text('{"keys": "iran", "snippet": "Iran is a country."}\n')
         with pytest.raises(WebToolError, match=f"line 1 of {path}: 'keys' must be a list"):
             OfflineWebTool.from_path(path)
+
+
+def _corpus_bytes_per_record(n: int = 10_000) -> float:
+    """Bytes that an ``OfflineWebTool`` keeps alive per record, by
+    tracemalloc, over ``n`` generated records whose strings already exist:
+    like the benchmark corpus, each holds a key of its own and two or three
+    common words."""
+    rng = random.Random(0)
+    words = [f"word{i}" for i in range(300)]
+    records = [([f"zq{i:05d}", *rng.sample(words, rng.choice((2, 3)))], f"snippet {i}") for i in range(n)]
+    tracemalloc.start()
+    try:
+        tool = OfflineWebTool(records)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(tool._index) == n  # each record filed under its own key
+    return held / n
+
+
+def test_corpus_bytes_per_record():
+    # 178-187 B under Python 3.10-3.13; a frozenset of keys took 337-346 B.
+    assert _corpus_bytes_per_record() < 250
 
 
 class TestRemoteWeb:

@@ -4,8 +4,9 @@ incomplete-graph variants with a per-question removal log.
 A :class:`KnowledgeGraph` is immutable after construction and safe to share
 across concurrent rollouts. :func:`sample_ikg` returns a new graph that
 always shares with its base the alias map, the resolver, both relation
-ranking maps, the tail tuples of untouched pairs and the relation sets of
-untouched heads. The sharing is safe because neither graph ever mutates them.
+ranking maps, the tail tuples of untouched pairs and the relation tuples
+and frozensets of untouched heads. The sharing is safe because neither graph
+ever mutates them.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Collection, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .jsonio import json_list, read_jsonl, write_jsonl
 from .text import _STRIP_CHARS, levenshtein, normalize, token_jaccard, word_tokens
@@ -90,31 +91,57 @@ def gc_paused(loader: _F) -> _F:
     return paused  # type: ignore[return-value]
 
 
+# A head with at most this many relations (relation_search's default k)
+# keeps them as a sorted tuple, which takes a third of a frozenset's bytes
+# or less; a larger one keeps a frozenset, which the token index intersects.
+_TUPLE_RELATIONS = 15
+
+
+def _frozen_relations(relations: Collection[str]) -> tuple[str, ...] | frozenset[str]:
+    """A head's distinct relations as :class:`KnowledgeGraph` stores them.
+    A frozenset is copied from a set, which sizes its table for the members
+    it holds; built from a list it grows as it fills, and the hub tables of
+    the generated graphs took a fifth more bytes."""
+    if len(relations) <= _TUPLE_RELATIONS:
+        return tuple(sorted(relations))
+    return frozenset(set(relations))
+
+
 def _build_indices(
     triples: Iterable[tuple[str, str, str]],
-) -> tuple[dict[str, frozenset[str]], dict[tuple[str, str], tuple[str, ...]], frozenset[str]]:
+) -> tuple[dict[str, tuple[str, ...] | frozenset[str]], dict[tuple[str, str], tuple[str, ...]], frozenset[str]]:
     """Derive (head index, pair index, relation vocabulary) from triples;
     duplicates collapse. Each pair's tails are a sorted tuple without
-    repeats, so equal triple sets give equal indexes in any order."""
-    head_sets: dict[str, set[str]] = {}
-    pair_lists: dict[tuple[str, str], list[str]] = {}
-    relations: set[str] = set()
+    repeats, and each head's relations are stored by
+    :func:`_frozen_relations`, so equal triple sets give equal indexes in
+    any order.
+
+    Each build list is replaced by its frozen form in the same dict, and so
+    freed as that form is made: the build never holds two full copies of an
+    index. A head's relations are collected from the distinct pairs, so
+    they need no set to collapse repeats.
+    """
+    pair_index: dict = {}
     for head, relation, tail in triples:
-        head_sets.setdefault(head, set()).add(relation)
-        pair_lists.setdefault((head, relation), []).append(tail)
-        relations.add(relation)
-    head_index = {h: frozenset(rs) for h, rs in head_sets.items()}
-    # most pairs hold one tail, which needs neither the dedup nor the sort
-    pair_index = {hr: tuple(ts) if len(ts) == 1 else tuple(sorted(set(ts))) for hr, ts in pair_lists.items()}
-    return head_index, pair_index, frozenset(relations)
+        pair_index.setdefault((head, relation), []).append(tail)
+    head_index: dict = {}
+    for pair, tails in pair_index.items():
+        # most pairs hold one tail, which needs neither the dedup nor the sort
+        pair_index[pair] = tuple(tails) if len(tails) == 1 else tuple(sorted(set(tails)))
+        head_index.setdefault(pair[0], []).append(pair[1])
+    for head, relations in head_index.items():
+        head_index[head] = _frozen_relations(relations)
+    return head_index, pair_index, frozenset(relation for _, relation in pair_index)
 
 
 @dataclass(frozen=True)
 class KnowledgeGraph:
     """Immutable, fully indexed triple store with an entity alias map.
 
-    Stored: the relations of each head (a frozenset, which
-    :meth:`relation_search` intersects), the tails of each (head, relation)
+    Stored: the relations of each head (a sorted tuple for a head with at
+    most 15, the default ``k`` of :meth:`relation_search`, and a frozenset
+    for a larger one, which :meth:`relation_search` intersects with the
+    token index), the tails of each (head, relation)
     pair (a sorted tuple without repeats: most pairs hold one tail, and a
     1-tuple takes under a quarter of a 1-element frozenset's bytes), the
     alias file's names of each entity it lists (in file order, without
@@ -128,7 +155,7 @@ class KnowledgeGraph:
     :meth:`relation_search` draws every candidate from ``head_index``.
     """
 
-    head_index: dict[str, frozenset[str]]
+    head_index: dict[str, tuple[str, ...] | frozenset[str]]
     pair_index: dict[tuple[str, str], tuple[str, ...]]
     aliases: dict[str, tuple[str, ...]]
     _resolve: dict[str, str]
@@ -206,7 +233,7 @@ class KnowledgeGraph:
             for token in hyp_tokens:
                 holding = self._token_relations.get(token)
                 if holding:
-                    sharing |= attached & holding
+                    sharing |= holding.intersection(attached)
             if len(sharing) >= k:
                 candidates = sharing
         by_jaccard = sorted((-token_jaccard(hyp_tokens, self._relation_tokens[rel]), rel) for rel in candidates)
@@ -339,7 +366,9 @@ def _without_edges(kg: KnowledgeGraph, purged_tails: dict[str, set[str]]) -> Kno
     """``kg`` without any triple from a head to one of its ``purged_tails``.
 
     Only the purged heads' pairs are rebuilt, each as the base's tail tuple
-    without the purged tails, which keeps it sorted. Every other container
+    without the purged tails, which keeps it sorted, and a head that loses a
+    relation stores the rest by :func:`_frozen_relations`, as
+    :func:`_build_indices` does. Every other container
     is the base graph's own, and the entity set is the base's (the aliases are).
     So the result's indexes, relations and resolver equal those of
     ``from_triples`` over the survivors with the base's entities as alias
@@ -366,7 +395,7 @@ def _without_edges(kg: KnowledgeGraph, purged_tails: dict[str, set[str]]) -> Kno
         if not kept:
             del head_index[head]
         elif len(kept) < len(attached):
-            head_index[head] = frozenset(kept)
+            head_index[head] = _frozen_relations(kept)
     return replace(kg, head_index=head_index, pair_index=pair_index)
 
 

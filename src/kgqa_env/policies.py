@@ -84,6 +84,7 @@ def _script(example: QAExample) -> Generator[str, str, None]:
             bindings[sq_id] = eval_expr(expr, bindings)
             continue
         hypothesis = expr.relation_hypothesis
+        wanted = normalize(hypothesis)
         tails: set[str] = set()
         for head in sorted(bindings[expr.head]) if expr.head_is_ref else [expr.head]:
             conversation = yield render_block(RELATION_SEARCH, f"{head} | {hypothesis}")
@@ -91,7 +92,7 @@ def _script(example: QAExample) -> Generator[str, str, None]:
             # canonical casing); a missing hypothesis means the graph lost
             # this hop, so keep it anyway and let the sentinel trigger web.
             candidates = [c.strip() for c in _last_block(conversation, RELATION_INFORMATION).split(",") if c.strip()]
-            relation = next((c for c in candidates if normalize(c) == normalize(hypothesis)), hypothesis)
+            relation = next((c for c in candidates if normalize(c) == wanted), hypothesis)
             conversation = yield render_block(NEIGHBOR_SEARCH, f"{head} | {relation}")
             found = _last_block(conversation, NEIGHBOR_INFORMATION)
             if is_sentinel(found):
@@ -100,7 +101,7 @@ def _script(example: QAExample) -> Generator[str, str, None]:
                     gold = _gold_tails(example)
                 tails |= gold.get((normalize(head), relation), set())
             else:
-                tails |= {normalize(part) for part in found.split(";") if normalize(part)}
+                tails |= {normalize(part) for part in found.split(";")} - {""}
         bindings[sq_id] = tails
     yield render_block(ANSWER, "; ".join(sorted(bindings[plan.sub_questions[-1].id])))
 

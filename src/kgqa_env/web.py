@@ -18,16 +18,19 @@ checked by every query that holds it, and a query's cost depends on which
 common words it contains. A record without keys matches no query and is not
 filed. Each record keeps its keys as a sorted tuple without repeats: they
 are only iterated and counted, and a tuple of four strings takes a third of
-a frozenset's bytes.
+a frozenset's bytes. The keys and the snippets are two parallel lists, with
+no tuple per record, and a corpus loaded by :meth:`OfflineWebTool.from_path`
+holds one string object per distinct key, however many records hold it.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from array import array
 from collections import Counter
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .jsonio import json_list, post_json, read_jsonl
 from .kg import gc_paused
@@ -51,17 +54,25 @@ class WebTool(ABC):
 
 class OfflineWebTool(WebTool):
     def __init__(self, records: Iterable[tuple[Sequence[str], str]]):
-        self._records = [(tuple(sorted(set(keys))), snippet) for keys, snippet in records]
-        counts = Counter(chain.from_iterable(keys for keys, _ in self._records))
+        # Column by column, with no tuple per record: _records[idx] is record
+        # idx's keys, _snippets[idx] its snippet.
+        self._records: list[tuple[str, ...]] = []
+        self._snippets: list[str] = []
+        add_keys, add_snippet = self._records.append, self._snippets.append
+        for keys, snippet in records:
+            add_keys(tuple(sorted(set(keys))))
+            add_snippet(snippet)
+        counts = Counter(chain.from_iterable(self._records))
         # Each bucket is a chain of record positions: _index maps a key to
         # the last record filed under it, _next[idx] to the one filed before
         # idx (-1 ends the chain). A list per bucket would add an object the
         # garbage collector tracks for nearly every record; loaded next to a
-        # large graph, that cost one more full collection.
+        # large graph, that cost one more full collection. An array holds
+        # the positions as machine ints, not one int object each.
         index: dict[str, int] = {}
-        nxt = [-1] * len(self._records)
+        nxt = array("i", [-1]) * len(self._records)
         held_by = counts.__getitem__
-        for idx, (keys, _) in enumerate(self._records):
+        for idx, keys in enumerate(self._records):
             if keys:
                 key = min(keys, key=held_by)
                 nxt[idx] = index.get(key, -1)
@@ -73,15 +84,7 @@ class OfflineWebTool(WebTool):
     def from_path(cls, path: str | Path) -> "OfflineWebTool":
         """Load a JSON-lines corpus. A malformed record, or a key that no
         query can match, raises :class:`WebToolError` naming the line."""
-        def record(rec: dict) -> tuple[list[str], str]:
-            keys = [str(key) for key in json_list(rec["keys"], "keys")]
-            for key in keys:
-                # word_tokens(key) == [key], at a fraction of the cost
-                if not (key.isalnum() and key == key.lower()):
-                    raise ValueError(f"key {key!r} matches no query: a key must be one lowercase word token")
-            return keys, str(rec["snippet"])
-
-        return cls(read_jsonl(path, WebToolError, "corpus record", record))
+        return cls(_read_corpus(path))
 
     def search(self, query: str, k: int) -> list[str]:
         if k < 1:
@@ -91,12 +94,35 @@ class OfflineWebTool(WebTool):
         for term in terms:
             idx = self._index.get(term, -1)
             while idx >= 0:
-                keys, snippet = self._records[idx]
+                keys = self._records[idx]
                 if terms.issuperset(keys):
-                    hits.append((-len(keys), idx, snippet))
+                    hits.append((-len(keys), idx))
                 idx = self._next[idx]
         hits.sort()
-        return [snippet for _, _, snippet in hits[:k]]
+        return [self._snippets[idx] for _, idx in hits[:k]]
+
+
+def _read_corpus(path: str | Path) -> Iterator[tuple[list[str], str]]:
+    """Yield each corpus line's (keys, snippet). Equal keys on different
+    lines are yielded as one string object (JSON decoding makes a new one
+    for each occurrence), and each distinct key is checked once, where it
+    first appears. The map that shares them lives only while the file is
+    read, so it is freed before :class:`OfflineWebTool` counts the keys."""
+    shared: dict[str, str] = {}
+
+    def record(rec: dict) -> tuple[list[str], str]:
+        keys = []
+        for key in map(str, json_list(rec["keys"], "keys")):
+            seen = shared.get(key)
+            if seen is None:
+                # word_tokens(key) == [key], at a fraction of the cost
+                if not (key.isalnum() and key == key.lower()):
+                    raise ValueError(f"key {key!r} matches no query: a key must be one lowercase word token")
+                shared[key] = seen = key
+            keys.append(seen)
+        return keys, str(rec["snippet"])
+
+    yield from read_jsonl(path, WebToolError, "corpus record", record)
 
 
 class RemoteWebTool(WebTool):

@@ -519,7 +519,7 @@ class TestIncrementalIkg:
     def test_forward_co_pair_casualty(self):
         kg = KnowledgeGraph.from_triples([("a", "r", "b"), ("a", "s", "b"), ("a", "s", "c")])
         derived = _assert_matches_rebuild(kg, [_example("q", [("a", "r", "b")])], 1.0, 0)
-        assert derived.head_index["a"] == {"s"}
+        assert derived.head_index["a"] == ("s",)
 
     def test_vanished_relation_and_emptied_head(self):
         kg = KnowledgeGraph.from_triples([("a", "only_here", "b"), ("c", "r", "d")])
@@ -554,9 +554,28 @@ def _assert_canonical_tails(kg):
         assert type(tails) is tuple and list(tails) == sorted(set(tails)), pair
 
 
+def _assert_canonical_heads(kg):
+    """A head with at most 15 relations keeps them as a sorted tuple without
+    repeats, a larger one as a frozenset; either way, exactly its pairs'."""
+    held: dict[str, set[str]] = {}
+    for head, relation in kg.pair_index:
+        held.setdefault(head, set()).add(relation)
+    assert set(kg.head_index) == set(held)
+    for head, relations in kg.head_index.items():
+        if len(held[head]) <= 15:
+            assert type(relations) is tuple and list(relations) == sorted(held[head]), head
+        else:
+            assert type(relations) is frozenset and relations == held[head], head
+
+
+_WIDE_TRIPLE = st.builds(Triple, st.sampled_from(["e0", "e1"]), st.sampled_from([f"r{i:02d}" for i in range(20)]),
+                         st.sampled_from(["e0", "e1", "e2"]))
+
+
 class TestTailTuples:
-    """Each pair's tails are a sorted tuple without repeats, so a graph does
-    not depend on the order or the repetition of its triples."""
+    """Each pair's tails are a sorted tuple without repeats, and each head's
+    relations a sorted tuple (at most 15) or a frozenset (more), so a graph
+    does not depend on the order or the repetition of its triples."""
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), triples=st.lists(_TRIPLE, min_size=1, max_size=30))
@@ -566,16 +585,44 @@ class TestTailTuples:
         kg = KnowledgeGraph.from_triples(triples)
         assert KnowledgeGraph.from_triples(reordered) == kg
         _assert_canonical_tails(kg)
+        _assert_canonical_heads(kg)
         questions = [_example("q", data.draw(st.lists(st.sampled_from(sorted(kg.triples)), max_size=6)))]
         derived, _ = sample_ikg(kg, questions, data.draw(st.floats(0.0, 1.0)), seed=0)
         _assert_canonical_tails(derived)
+        _assert_canonical_heads(derived)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), triples=st.lists(_WIDE_TRIPLE, min_size=1, max_size=60))
+    def test_heads_either_side_of_fifteen_relations(self, data, triples):
+        # heads of up to 20 relations, so removals move them across the rule
+        kg = KnowledgeGraph.from_triples(triples)
+        _assert_canonical_heads(kg)
+        questions = [_example("q", data.draw(st.lists(st.sampled_from(sorted(kg.triples)), max_size=8)))]
+        derived = _assert_matches_rebuild(kg, questions, data.draw(st.floats(0.0, 1.0)), seed=0)
+        _assert_canonical_heads(derived)
+
+    def test_fifteen_relations_are_a_tuple_and_sixteen_a_frozenset(self):
+        relations = [f"r_{i:02d}" for i in range(16)]
+        kg = KnowledgeGraph.from_triples([("a", r, "b") for r in reversed(relations)] + [("c", "r_00", "d")])
+        assert kg.head_index["c"] == ("r_00",)
+        assert kg.head_index["a"] == frozenset(relations)
+        assert kg.relation_search("a", "r 03", k=1) == ["r_03"]  # through the token index
+        derived = _assert_matches_rebuild(kg, [_example("q", [("c", "r_00", "d")])], 1.0, 0)
+        assert derived.head_index["a"] is kg.head_index["a"]  # untouched heads are shared
+        kg = KnowledgeGraph.from_triples([("a", r, "b") for r in relations[:15]] + [("a", "r_15", "x")])
+        derived = _assert_matches_rebuild(kg, [_example("q", [("a", "r_15", "x")])], 1.0, 0)
+        assert derived.head_index["a"] == tuple(relations[:15])
+        assert derived.relation_search("a", "r 03", k=1) == ["r_03"]  # a tuple through the token index
+        derived = _assert_matches_rebuild(kg, [_example("q", [("a", "r_03", "b")])], 1.0, 0)
+        assert derived.head_index["a"] == ("r_15",)  # every edge from a to b goes
 
 
-def _graph_bytes_per_triple(n: int = 20_000) -> float:
-    """Bytes that ``from_triples`` keeps alive per triple, by tracemalloc,
-    over ``n`` generated triples whose strings already exist (as the
-    benchmark's ``kg.bytes_per_triple`` probe measures them). Nine pairs in
-    ten hold one tail, as in the generated benchmark graphs."""
+def _graph_memory(n: int = 20_000) -> tuple[float, float]:
+    """Bytes that ``from_triples`` keeps alive per triple, and its peak over
+    those bytes, by tracemalloc, over ``n`` generated triples whose strings
+    already exist (as the benchmark's ``kg.bytes_per_triple`` probe measures
+    them). Nine pairs in ten hold one tail, as in the generated benchmark
+    graphs."""
     rng = random.Random(0)
     entities = [f"m.{i:05d}" for i in range(n // 4)]
     relations = [f"rel_{i}" for i in range(200)]
@@ -586,16 +633,23 @@ def _graph_bytes_per_triple(n: int = 20_000) -> float:
     tracemalloc.start()
     try:
         graph = KnowledgeGraph.from_triples(triples)
-        held = tracemalloc.get_traced_memory()[0]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(graph) == len(set(triples))
-    return held / len(triples)
+    return held / len(triples), peak / held
 
 
 def test_graph_bytes_per_triple():
-    # 204-211 B under Python 3.10-3.13; a frozenset per pair took 332-339 B.
-    assert _graph_bytes_per_triple() < 250
+    # 155-163 B under Python 3.10-3.13; a frozenset per head took 204-211 B,
+    # and a frozenset per pair 332-339 B.
+    assert _graph_memory()[0] < 190
+
+
+def test_graph_build_holds_one_copy_of_its_indexes():
+    # The peak over the bytes kept reads 1.03-1.10 under Python 3.10-3.13.
+    # Building each index in full beside its build containers read 1.74-1.78.
+    assert _graph_memory()[1] < 1.3
 
 
 class TestGcPause:

@@ -99,6 +99,24 @@ class TestOfflineCorpus:
         with pytest.raises(WebToolError, match=f"line 2 of {path}: key {re.escape(repr(key))} matches no query"):
             OfflineWebTool.from_path(path)
 
+    def test_a_repeated_bad_key_is_named_at_its_first_line(self, tmp_path):
+        # each distinct key is checked once, where it first appears
+        path = tmp_path / "corpus.jsonl"
+        lines = [{"keys": ["iran"]}, {"keys": ["rial", "Rial"]}, {"keys": ["iran"]}, {"keys": ["rial"]},
+                 {"keys": ["Rial"]}]
+        path.write_text("".join(json.dumps({**line, "snippet": "S."}) + "\n" for line in lines))
+        with pytest.raises(WebToolError, match="line 2 of .*: key 'Rial' matches no query"):
+            OfflineWebTool.from_path(path)
+
+    def test_equal_keys_share_one_string(self, tmp_path):
+        # JSON decoding makes a new string for each occurrence of a key
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(json.dumps({"keys": ["rial", "iran"], "snippet": "The rial."}) + "\n"
+                        + json.dumps({"keys": ["iran"], "snippet": "Iran."}) + "\n")
+        tool = OfflineWebTool.from_path(path)
+        assert tool._records == [("iran", "rial"), ("iran",)]
+        assert tool._records[0][0] is tool._records[1][0]
+
     @settings(deadline=None)
     @given(key=st.text(max_size=4))
     def test_rejects_exactly_the_keys_no_query_can_hold(self, key):
@@ -118,17 +136,20 @@ class TestOfflineCorpus:
             OfflineWebTool.from_path(path)
 
 
-def _corpus_bytes_per_record(n: int = 10_000) -> float:
-    """Bytes that an ``OfflineWebTool`` keeps alive per record, by
-    tracemalloc, over ``n`` generated records whose strings already exist:
-    like the benchmark corpus, each holds a key of its own and two or three
-    common words."""
+def _corpus_records(n: int) -> list[tuple[list[str], str]]:
+    """``n`` generated records that, like the benchmark corpus, each hold a
+    key of their own and two or three of 300 common words."""
     rng = random.Random(0)
     words = [f"word{i}" for i in range(300)]
-    records = [([f"zq{i:05d}", *rng.sample(words, rng.choice((2, 3)))], f"snippet {i}") for i in range(n)]
+    return [([f"zq{i:05d}", *rng.sample(words, rng.choice((2, 3)))], f"snippet {i}") for i in range(n)]
+
+
+def _bytes_per_record(load, n: int) -> float:
+    """Bytes that the ``OfflineWebTool`` which ``load()`` returns keeps
+    alive per record, by tracemalloc."""
     tracemalloc.start()
     try:
-        tool = OfflineWebTool(records)
+        tool = load()
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -137,8 +158,21 @@ def _corpus_bytes_per_record(n: int = 10_000) -> float:
 
 
 def test_corpus_bytes_per_record():
-    # 178-187 B under Python 3.10-3.13; a frozenset of keys took 337-346 B.
-    assert _corpus_bytes_per_record() < 250
+    # Over records whose strings already exist. 116-147 B under Python
+    # 3.10-3.13; a (keys, snippet) tuple per record and a list of position
+    # ints took 178-189 B, and a frozenset of keys 337-346 B.
+    records = _corpus_records(10_000)
+    assert _bytes_per_record(lambda: OfflineWebTool(records), 10_000) < 170
+
+
+def test_loaded_corpus_bytes_per_record(tmp_path):
+    # Through from_path, where JSON decoding makes each key a new string.
+    # 212-240 B under Python 3.10-3.13; a string per key occurrence took
+    # 370-417 B.
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(json.dumps({"keys": keys, "snippet": snippet}) + "\n"
+                            for keys, snippet in _corpus_records(10_000)))
+    assert _bytes_per_record(lambda: OfflineWebTool.from_path(path), 10_000) < 280
 
 
 class TestRemoteWeb:

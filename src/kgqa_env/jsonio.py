@@ -43,6 +43,15 @@ def json_list(value: Any, field: str) -> list:
     return value
 
 
+def json_text(value: Any, field: str) -> str:
+    """``value`` if it is a JSON string; else ``ValueError`` naming
+    ``field``, as :func:`json_list` does. Null, a number or an object is
+    not taken for the text of its ``str()``."""
+    if not isinstance(value, str):
+        raise ValueError(f"{field!r} must be text, got {value!r}")
+    return value
+
+
 def write_jsonl(records: Iterable[Any], path: str | Path) -> None:
     """Write one compact JSON document per line (UTF-8)."""
     with Path(path).open("w", encoding="utf-8") as fh:

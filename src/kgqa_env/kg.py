@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Collection, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
-from .jsonio import json_list, read_jsonl, write_jsonl
+from .jsonio import json_list, json_text, read_jsonl, write_jsonl
 from .text import _STRIP_CHARS, levenshtein, normalize, token_jaccard, word_tokens
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -91,10 +91,10 @@ def gc_paused(loader: _F) -> _F:
     return paused  # type: ignore[return-value]
 
 
-# A head with at most this many relations (relation_search's default k)
-# keeps them as a sorted tuple, which takes a third of a frozenset's bytes
-# or less; a larger one keeps a frozenset, which the token index intersects.
-_TUPLE_RELATIONS = 15
+#: Relations a relation_search lists. A head with at most this many keeps
+#: them as a sorted tuple (a third of a frozenset's bytes or less), ranked
+#: whole; a larger one keeps a frozenset, which the token index intersects.
+TOP_K_RELATIONS = 15
 
 
 def _frozen_relations(relations: Collection[str]) -> tuple[str, ...] | frozenset[str]:
@@ -102,7 +102,7 @@ def _frozen_relations(relations: Collection[str]) -> tuple[str, ...] | frozenset
     A frozenset is copied from a set, which sizes its table for the members
     it holds; built from a list it grows as it fills, and the hub tables of
     the generated graphs took a fifth more bytes."""
-    if len(relations) <= _TUPLE_RELATIONS:
+    if len(relations) <= TOP_K_RELATIONS:
         return tuple(sorted(relations))
     return frozenset(set(relations))
 
@@ -139,8 +139,8 @@ class KnowledgeGraph:
     """Immutable, fully indexed triple store with an entity alias map.
 
     Stored: the relations of each head (a sorted tuple for a head with at
-    most 15, the default ``k`` of :meth:`relation_search`, and a frozenset
-    for a larger one, which :meth:`relation_search` intersects with the
+    most :data:`TOP_K_RELATIONS`, which :meth:`relation_search` lists
+    whole, and a frozenset for a larger one, which it intersects with the
     token index), the tails of each (head, relation)
     pair (a sorted tuple without repeats: most pairs hold one tail, and a
     1-tuple takes under a quarter of a 1-element frozenset's bytes), the
@@ -201,50 +201,48 @@ class KnowledgeGraph:
         entity identifier; None when nothing matches."""
         return self._resolve.get(normalize(text))
 
-    def relation_search(self, entity: str, hypothesis: str, k: int = 15) -> list[str]:
-        """Top-``k`` relations attached to ``entity``, ranked by word-token
-        Jaccard similarity to the hypothesis text; ties break on smaller edit
-        distance to the hypothesis, then lexicographic relation name, which
-        makes the ranking fully deterministic. Unknown entities yield an
-        empty list.
+    def relation_search(self, entity: str, hypothesis: str) -> list[str]:
+        """The :data:`TOP_K_RELATIONS` relations attached to ``entity`` that
+        best match the hypothesis, ranked by word-token Jaccard similarity
+        to it; ties break on smaller edit distance to the hypothesis, then
+        lexicographic relation name, which makes the ranking fully
+        deterministic. Unknown entities yield an empty list.
 
-        Only relations whose Jaccard is at least the ``k``-th best are kept.
-        The cut is exact: every relation below it has ``k`` relations with a
-        higher Jaccard ahead of it. A kept relation whose Jaccard no other
-        kept relation shares is placed by its Jaccard alone; the edit
-        distances of the rest come from one batched :func:`levenshtein`
-        call, and none is computed when no two kept relations tie.
+        Only relations whose Jaccard is at least the last place's are kept.
+        The cut is exact: every relation below it has a full budget of
+        relations with a higher Jaccard ahead of it. A kept relation whose
+        Jaccard no other kept relation shares is placed by its Jaccard
+        alone; the edit distances of the rest come from one batched
+        :func:`levenshtein` call, and none when no two kept relations tie.
 
-        When more than ``k`` relations are attached, the token index finds
-        those that share a word with the hypothesis, and if there are at
-        least ``k`` of them only they are scored. That is exact too: each
-        has a Jaccard above 0, so the ``k``-th best does, and every relation
-        sharing no word (Jaccard 0) already falls below the cut.
+        A tuple head is ranked whole. For a frozenset head, the token index
+        finds the relations sharing a word with the hypothesis, and if they
+        fill the budget only they are scored. That is exact too: each has a
+        Jaccard above 0, so the last place does, and every relation sharing
+        no word (Jaccard 0) already falls below the cut.
         """
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
         attached = self.head_index.get(entity)
         if not attached:
             return []
         hyp_tokens = set(word_tokens(hypothesis))
         candidates = attached
-        if len(attached) > k:
+        if len(attached) > TOP_K_RELATIONS:
             sharing: set[str] = set()
             for token in hyp_tokens:
                 holding = self._token_relations.get(token)
                 if holding:
                     sharing |= holding.intersection(attached)
-            if len(sharing) >= k:
+            if len(sharing) >= TOP_K_RELATIONS:
                 candidates = sharing
         by_jaccard = sorted((-token_jaccard(hyp_tokens, self._relation_tokens[rel]), rel) for rel in candidates)
-        if len(by_jaccard) > k:
-            cut = by_jaccard[k - 1][0]
+        if len(by_jaccard) > TOP_K_RELATIONS:
+            cut = by_jaccard[TOP_K_RELATIONS - 1][0]
             by_jaccard = [pair for pair in by_jaccard if pair[0] <= cut]
         shared = Counter(score for score, _ in by_jaccard)
         tied = [rel for score, rel in by_jaccard if shared[score] > 1]
         distance = dict(zip(tied, levenshtein(hypothesis.lower(), [rel.lower() for rel in tied]))) if tied else {}
         ranked = sorted(by_jaccard, key=lambda pair: (pair[0], distance.get(pair[1], 0), pair[1]))
-        return [rel for _, rel in ranked[:k]]
+        return [rel for _, rel in ranked[:TOP_K_RELATIONS]]
 
     def neighbor_search(self, entity: str, relation: str) -> set[str] | str:
         """Tail entities of ``(entity, relation)`` rendered in display form,
@@ -293,16 +291,17 @@ def _read_tsv(path: Path) -> Iterator[tuple[str, str, str]]:
 def load_aliases(path: str | Path) -> dict[str, list[str]]:
     """Load a JSON-lines alias file ({"entity": id, "aliases": [text, ...]}).
 
-    Entity ids are whitespace-trimmed, and one that is then blank or
-    punctuation only is rejected, as in the triple file, with a
-    :class:`KGError` naming the file and line.
+    Entity ids are read as text and whitespace-trimmed, and one that is
+    then blank or punctuation only is rejected, as in the triple file, with
+    a :class:`KGError` naming the file and line. So is an alias that is not
+    a string.
     """
     alias_map: dict[str, list[str]] = {}
     def record(rec: dict) -> tuple[str, list[str]]:
         entity = str(rec["entity"]).strip()
         if not entity.strip(_STRIP_CHARS):
             raise ValueError(f"empty entity {entity!r}")
-        return entity, [str(n) for n in json_list(rec["aliases"], "aliases")]
+        return entity, [json_text(n, "aliases") for n in json_list(rec["aliases"], "aliases")]
 
     for entity, names in read_jsonl(path, KGError, "alias record", record):
         alias_map.setdefault(entity, []).extend(names)
@@ -410,9 +409,9 @@ def write_removal_log(log: RemovalLog, path: str | Path) -> None:
 
 def read_removal_log(path: str | Path) -> RemovalLog:
     """Read a JSON-lines removal log. Ids are read as text, as in the QA
-    and trajectory files; an id may appear once, and a coverage label must
-    agree with the record's removals, else :class:`KGError` names the file
-    and line."""
+    and trajectory files; an id may appear once, each removed triple holds
+    three strings, and a coverage label must agree with the record's
+    removals, else :class:`KGError` names the file and line."""
     seen: set[str] = set()
 
     def record(rec: dict) -> tuple[str, list[Triple]]:
@@ -423,7 +422,8 @@ def read_removal_log(path: str | Path) -> RemovalLog:
         label = rec["coverage"]
         if label not in (COVERAGE_CKG, COVERAGE_IKG):
             raise ValueError(f"unknown coverage label {label!r}")
-        removed = [Triple(*json_list(t, "removed")) for t in json_list(rec["removed"], "removed")]
+        removed = [Triple(*(json_text(x, "removed") for x in json_list(t, "removed")))
+                   for t in json_list(rec["removed"], "removed")]
         if label != _coverage(removed):
             raise ValueError(f"coverage label {label!r} disagrees with {len(removed)} removed triples")
         return qid, removed

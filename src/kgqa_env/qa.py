@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .jsonio import json_list, read_jsonl
+from .jsonio import json_list, json_text, read_jsonl
 from .kg import SENTINEL, Triple
 from .text import _STRIP_CHARS
 
@@ -49,7 +49,9 @@ class QAExample:
 def load_qa(path: str | Path) -> list[QAExample]:
     """Load a JSON-lines QA file. Each line carries
     {"id", "question", "topic_entities", "answers", "critical_triples"}
-    plus an optional "plan" (text or null).
+    plus an optional "plan" (text or null). The id is read as text; a
+    question, topic entity, alias or triple member that is not a string is
+    a :class:`QAError` naming the file and line.
 
     A question without gold answers, or with a gold answer whose every
     alias is blank or punctuation only, is a :class:`QAError` naming the
@@ -63,10 +65,13 @@ def load_qa(path: str | Path) -> list[QAExample]:
             raise ValueError(f"'plan' must be text or null, got {plan!r}")
         ex = QAExample(
             id=str(rec["id"]),
-            question=str(rec["question"]),
-            topic_entities=tuple(str(e) for e in json_list(rec["topic_entities"], "topic_entities")),
-            answers=tuple(tuple(str(a) for a in json_list(s, "answers")) for s in json_list(rec["answers"], "answers")),
-            critical_triples=tuple(Triple(*(str(x) for x in json_list(t, "critical_triples"))) for t in triples),
+            question=json_text(rec["question"], "question"),
+            topic_entities=tuple(json_text(e, "topic_entities")
+                                 for e in json_list(rec["topic_entities"], "topic_entities")),
+            answers=tuple(tuple(json_text(a, "answers") for a in json_list(s, "answers"))
+                          for s in json_list(rec["answers"], "answers")),
+            critical_triples=tuple(Triple(*(json_text(x, "critical_triples") for x in json_list(t, "critical_triples")))
+                                   for t in triples),
             plan=plan,
         )
         if not ex.answers:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, Set
 
-from .jsonio import read_jsonl
+from .jsonio import json_text, read_jsonl
 from .kg import COVERAGE_CKG, COVERAGE_IKG
 from .text import normalize
 from .trajectory import (
@@ -156,9 +156,8 @@ def read_scores(path: str | Path) -> list[dict]:
     a text ``id`` and an ``R_over`` that is a finite float or an int in float
     range; anything else is a ``ValueError`` naming the file and line."""
     def record(rec: dict) -> dict:
-        qid, r_over = rec["id"], rec["R_over"]
-        if not isinstance(qid, str):
-            raise ValueError(f"'id' must be text, got {qid!r}")
+        json_text(rec["id"], "id")
+        r_over = rec["R_over"]
         if isinstance(r_over, bool) or not isinstance(r_over, (int, float)):
             raise ValueError(f"'R_over' must be a number, got {r_over!r}")
         if not abs(r_over) <= sys.float_info.max:  # NaN, infinity, or an int no float holds

@@ -55,8 +55,7 @@ FORCE_ANSWER_DIRECTIVE = (
 MALFORMED_TOOL_CALL = "malformed tool call"
 #: In-band content of a web_information block when the web backend fails.
 WEB_UNAVAILABLE = "web tool unavailable"
-#: Relations a relation_search lists, and snippets a web_search returns.
-TOP_K_RELATIONS = 15
+#: Snippets a web_search returns (a relation_search lists kg.TOP_K_RELATIONS).
 TOP_K_DOCS = 3
 
 #: Closing delimiters at which policy segments end.
@@ -126,7 +125,7 @@ def _tool_output(step: Step, kg: KnowledgeGraph, web: WebTool) -> str:
         return MALFORMED_TOOL_CALL
     if step.tag == RELATION_SEARCH:
         entity = kg.resolve_entity(head) or head
-        return ", ".join(kg.relation_search(entity, relation, TOP_K_RELATIONS))
+        return ", ".join(kg.relation_search(entity, relation))
     if step.tag == NEIGHBOR_SEARCH:
         entity = kg.resolve_entity(head) or head
         payload = kg.neighbor_search(entity, relation)

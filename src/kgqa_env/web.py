@@ -32,7 +32,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .jsonio import json_list, post_json, read_jsonl
+from .jsonio import json_list, json_text, post_json, read_jsonl
 from .kg import gc_paused
 from .text import word_tokens
 
@@ -82,8 +82,9 @@ class OfflineWebTool(WebTool):
     @classmethod
     @gc_paused
     def from_path(cls, path: str | Path) -> "OfflineWebTool":
-        """Load a JSON-lines corpus. A malformed record, or a key that no
-        query can match, raises :class:`WebToolError` naming the line."""
+        """Load a JSON-lines corpus. A malformed record, a key or snippet
+        that is not a string, or a key that no query can match, raises
+        :class:`WebToolError` naming the file and line."""
         return cls(_read_corpus(path))
 
     def search(self, query: str, k: int) -> list[str]:
@@ -112,15 +113,18 @@ def _read_corpus(path: str | Path) -> Iterator[tuple[list[str], str]]:
 
     def record(rec: dict) -> tuple[list[str], str]:
         keys = []
-        for key in map(str, json_list(rec["keys"], "keys")):
-            seen = shared.get(key)
+        for key in json_list(rec["keys"], "keys"):
+            try:
+                seen = shared.get(key)
+            except TypeError:  # a list or an object, which json_text rejects
+                seen = None
             if seen is None:
                 # word_tokens(key) == [key], at a fraction of the cost
-                if not (key.isalnum() and key == key.lower()):
+                if not (json_text(key, "keys").isalnum() and key == key.lower()):
                     raise ValueError(f"key {key!r} matches no query: a key must be one lowercase word token")
                 shared[key] = seen = key
             keys.append(seen)
-        return keys, str(rec["snippet"])
+        return keys, json_text(rec["snippet"], "snippet")
 
     yield from read_jsonl(path, WebToolError, "corpus record", record)
 

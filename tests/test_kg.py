@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import random
 import tracemalloc
@@ -12,6 +13,7 @@ from kgqa_env import kg as kgqa_kg
 from kgqa_env import web as kgqa_web
 from kgqa_env.kg import (
     SENTINEL,
+    TOP_K_RELATIONS,
     KGError,
     KnowledgeGraph,
     Triple,
@@ -158,6 +160,22 @@ class TestLoad:
         assert kg.resolve_entity("Persia") == kg.resolve_entity("Iran") == "Iran"
         assert kg.neighbor_search("Iran", "currency") == {"Rial"}
 
+    @pytest.mark.parametrize("value", ["null", "3", '{"a": 1}'], ids=["null", "number", "object"])
+    def test_alias_that_is_not_text_names_file_and_line(self, tmp_path, value):
+        # str() would make "none" or "3" resolve to the entity
+        aliases = tmp_path / "aliases.jsonl"
+        aliases.write_text(f'{{"entity": "a", "aliases": ["A"]}}\n{{"entity": "Iran", "aliases": ["Persia", {value}]}}\n')
+        with pytest.raises(KGError, match=f"line 2 of {aliases}: 'aliases' must be text"):
+            load_aliases(aliases)
+
+    @pytest.mark.parametrize("value", ["null", "3", '{"a": 1}'], ids=["null", "number", "object"])
+    def test_removed_triple_member_that_is_not_text_names_file_and_line(self, tmp_path, value):
+        log = tmp_path / "log.jsonl"
+        log.write_text('{"id": "q", "removed": [], "coverage": "CKG"}\n'
+                       f'{{"id": "r", "removed": [["a", {value}, "b"]], "coverage": "IKG"}}\n')
+        with pytest.raises(KGError, match=f"line 2 of {log}: 'removed' must be text"):
+            read_removal_log(log)
+
     def test_string_removed_triple_is_not_a_list(self, tmp_path):
         log = tmp_path / "log.jsonl"
         log.write_text('{"id": "q", "removed": ["abc"], "coverage": "IKG"}\n')
@@ -191,22 +209,28 @@ def _joined(words):
     return st.tuples(st.sampled_from("_."), st.lists(words, min_size=1, max_size=3)).map(lambda p: p[0].join(p[1]))
 
 
+def _holding_one_of(hyp_words):
+    """A relation name of 1-3 words, at least one of them from ``hyp_words``."""
+    return st.builds(lambda sep, words, word, at: sep.join([*words[:at], word, *words[at:]]),
+                     st.sampled_from("_."), st.lists(st.sampled_from(_HYP_WORDS + _OTHER_WORDS), max_size=2),
+                     st.sampled_from(hyp_words), st.integers(0, 2))
+
+
 @st.composite
 def _hubs_around_k(draw):
-    """A hub whose count of relations sharing a word with the hypothesis
-    is drawn around ``k`` (fewer, exactly ``k`` or more), next to relations
-    sharing none, some of them with no word token at all."""
-    k = draw(st.integers(1, 8))
+    """A head whose count of relations sharing a word with the hypothesis
+    is drawn around :data:`TOP_K_RELATIONS` (fewer, exactly as many or
+    more), next to 1-12 relations sharing none, some of them with no word
+    token at all; so the head holds 13-30 relations, on either side of the
+    budget."""
     hyp_words = draw(st.lists(st.sampled_from(_HYP_WORDS), min_size=1, max_size=3, unique=True))
     unused = [w for w in _HYP_WORDS if w not in hyp_words] + _OTHER_WORDS
-    n_sharing = max(0, k + draw(st.integers(-3, 3)))
-    sharing = draw(st.lists(_joined(st.sampled_from(_HYP_WORDS + _OTHER_WORDS))
-                            .filter(lambda r: any(w in r.replace(".", "_").split("_") for w in hyp_words)),
-                            min_size=n_sharing, max_size=n_sharing, unique=True))
+    n_sharing = TOP_K_RELATIONS + draw(st.integers(-3, 3))
+    sharing = draw(st.lists(_holding_one_of(hyp_words), min_size=n_sharing, max_size=n_sharing, unique=True))
     others = draw(st.lists(st.one_of(st.sampled_from(_TOKENLESS), _joined(st.sampled_from(unused))),
-                           min_size=1, max_size=10, unique=True))
+                           min_size=1, max_size=12, unique=True))
     hyp = draw(st.one_of(st.just(" ".join(hyp_words)), st.sampled_from(["", "?!", "__", " . "])))
-    return sorted(set(sharing) | set(others)), hyp, k
+    return sorted(set(sharing) | set(others)), hyp
 
 
 @contextmanager
@@ -228,6 +252,7 @@ class TestRelationSearch:
     def test_default_k_is_15(self):
         triples = [Triple("e", f"rel_{i}", "t") for i in range(30)]
         kg = KnowledgeGraph.from_triples(triples)
+        assert TOP_K_RELATIONS == 15
         assert len(kg.relation_search("e", "rel")) == 15
 
     def test_single_relation_entity(self, tk1):
@@ -236,27 +261,23 @@ class TestRelationSearch:
     def test_unknown_entity_gives_empty_list(self, tk1):
         assert tk1.relation_search("Nobody", "hypothesis") == []
 
-    def test_k_must_be_positive(self, tk1):
-        with pytest.raises(ValueError):
-            tk1.relation_search("Iran", "capital", k=0)
-
     def test_tk1_ranking_matches_brute_force(self, tk1):
-        assert tk1.relation_search("Iranian_rial", "used in country", k=2) == \
-            _rank_oracle(tk1, "Iranian_rial", "used in country")[:2]
+        assert tk1.relation_search("Iranian_rial", "used in country") == \
+            _rank_oracle(tk1, "Iranian_rial", "used in country")[:TOP_K_RELATIONS]
 
     def test_ranking_matches_brute_force_on_random_graphs(self):
         rng = random.Random(7)
         words = ["currency", "of", "used", "in", "country", "film", "by", "capital", "city", "river"]
-        for _ in range(25):
+        for _ in range(40):
+            # heads of 1-30 relations, on either side of the budget
             rels = {
                 "_".join(rng.sample(words, rng.randint(1, 3)))
-                for _ in range(rng.randint(1, 12))
+                for _ in range(rng.randint(1, 30))
             }
             kg = KnowledgeGraph.from_triples(Triple("e", r, f"t{i}") for i, r in enumerate(sorted(rels)))
             hyp = " ".join(rng.sample(words, rng.randint(1, 4)))
-            k = rng.randint(1, 6)
-            got = kg.relation_search("e", hyp, k=k)
-            assert got == _rank_oracle(kg, "e", hyp)[:k]
+            got = kg.relation_search("e", hyp)
+            assert got == _rank_oracle(kg, "e", hyp)[:TOP_K_RELATIONS]
             assert all(r in kg.head_index["e"] for r in got)
 
     @settings(max_examples=20, deadline=None)
@@ -268,18 +289,16 @@ class TestRelationSearch:
     def test_hub_ranking_matches_brute_force(self, seed, n_rels, hyp):
         # Names of 1-3 words from a small vocabulary, joined by "_" or ".":
         # hundreds of relations share a few Jaccard values, so ties straddle
-        # the k-th place, and equal token sets differ in edit distance.
+        # the budget's last place, and equal token sets differ in edit distance.
         rng = random.Random(seed)
         rels = set()
         while len(rels) < n_rels:
             rels.add(rng.choice("_.").join(rng.choices(_HUB_WORDS, k=rng.randint(1, 3))))
         kg = KnowledgeGraph.from_triples(Triple("hub", r, f"t{i}") for i, r in enumerate(sorted(rels)))
-        expected = _rank_oracle(kg, "hub", hyp)
-        for k in (1, 15, n_rels + 1):
-            with _levenshtein_calls() as calls:
-                assert kg.relation_search("hub", hyp, k=k) == expected[:k]
-            # one batched call at most, and only over relations that tie
-            assert len(calls) <= 1 and all(len(others) >= 2 for others in calls)
+        with _levenshtein_calls() as calls:
+            assert kg.relation_search("hub", hyp) == _rank_oracle(kg, "hub", hyp)[:TOP_K_RELATIONS]
+        # one batched call at most, and only over relations that tie
+        assert len(calls) <= 1 and all(len(others) >= 2 for others in calls)
 
     def test_untied_relations_take_no_edit_distance(self, tk1):
         # "used in country": Jaccard 1, 1/3 and 1/5, all different
@@ -299,26 +318,41 @@ class TestRelationSearch:
             rels.add(rng.choice("_.").join(rng.choices(_HUB_WORDS, k=rng.randint(1, 3))))
         kg = KnowledgeGraph.from_triples(Triple("hub", r, "t") for r in rels)
         with _levenshtein_calls() as calls:
-            assert kg.relation_search("hub", hyp) == _rank_oracle(kg, "hub", hyp)[:15]
+            assert kg.relation_search("hub", hyp) == _rank_oracle(kg, "hub", hyp)[:TOP_K_RELATIONS]
         assert len(calls) == 1 and sorted(calls[0]) == sorted(r.lower() for r in rels)
 
     @settings(max_examples=300, deadline=None)
     @given(case=_hubs_around_k())
     def test_ranking_matches_brute_force_around_k_sharing(self, case):
         # The token index narrows scoring to word-sharing relations only
-        # when at least k of them exist; either side of that line, and on
-        # it, the ranking is the exhaustive one.
-        rels, hyp, k = case
+        # when they fill the budget; either side of that line, and on it,
+        # the ranking is the exhaustive one.
+        rels, hyp = case
         kg = KnowledgeGraph.from_triples(Triple("hub", r, f"t{i}") for i, r in enumerate(rels))
         with _levenshtein_calls() as calls:
-            assert kg.relation_search("hub", hyp, k=k) == _rank_oracle(kg, "hub", hyp)[:k]
+            assert kg.relation_search("hub", hyp) == _rank_oracle(kg, "hub", hyp)[:TOP_K_RELATIONS]
         assert len(calls) <= 1 and all(len(others) >= 2 for others in calls)
 
     def test_fewer_than_k_sharing_still_fills_k(self):
-        kg = KnowledgeGraph.from_triples(Triple("hub", r, "t") for r in ["place_of_birth", "film", "ßß", "country"])
-        got = kg.relation_search("hub", "place", k=3)
-        assert got[0] == "place_of_birth" and len(got) == 3
-        assert got == _rank_oracle(kg, "hub", "place")[:3]
+        rels = ["place_of_birth", "film", "ßß", "country", *(f"other_{i:02d}" for i in range(14))]
+        kg = KnowledgeGraph.from_triples(Triple("hub", r, "t") for r in rels)
+        assert type(kg.head_index["hub"]) is frozenset
+        got = kg.relation_search("hub", "place")
+        assert got[0] == "place_of_birth" and len(got) == TOP_K_RELATIONS
+        assert got == _rank_oracle(kg, "hub", "place")[:TOP_K_RELATIONS]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rels=st.lists(_joined(st.sampled_from(_HUB_WORDS)) | st.sampled_from(_TOKENLESS),
+                      min_size=1, max_size=TOP_K_RELATIONS, unique=True),
+        hyp=st.lists(st.sampled_from(_HUB_WORDS + ["Ünïcode"]), max_size=4).map(" ".join),
+    )
+    def test_a_head_within_the_budget_takes_no_token_index(self, rels, hyp):
+        # a head stored as a tuple fits in one answer, so it is ranked whole
+        kg = KnowledgeGraph.from_triples(Triple("e", r, "t") for r in rels)
+        assert type(kg.head_index["e"]) is tuple
+        blind = dataclasses.replace(kg, _token_relations={})
+        assert blind.relation_search("e", hyp) == kg.relation_search("e", hyp) == _rank_oracle(kg, "e", hyp)
 
 
 def _edit_distance_oracle(a, b):
@@ -483,8 +517,7 @@ def _assert_matches_rebuild(kg, questions, fraction, seed):
     assert len(derived) == len(rebuilt) == len(survivors)
     for head in kg.head_index:
         for hyp in ("", *sorted(kg.relations)):
-            for k in (1, 2, 15):
-                assert derived.relation_search(head, hyp, k) == rebuilt.relation_search(head, hyp, k), (head, hyp, k)
+            assert derived.relation_search(head, hyp) == rebuilt.relation_search(head, hyp), (head, hyp)
     return derived
 
 
@@ -529,12 +562,14 @@ class TestIncrementalIkg:
         assert derived.resolve_entity("a") == "a"  # the entity set is unchanged
 
     def test_vanished_relation_never_ranks(self):
-        kg = KnowledgeGraph.from_triples([("a", "only_here", "b"), ("c", "here_too", "d"),
-                                          ("e", "here_too", "f"), ("e", "other", "f")])
+        hub = [f"here_{i:02d}" for i in range(TOP_K_RELATIONS)]  # with here_too, more than the budget
+        kg = KnowledgeGraph.from_triples([("a", "only_here", "b"), ("c", "here_too", "d"), ("e", "here_too", "f"),
+                                          *(("e", r, "f") for r in hub)])
         derived = _assert_matches_rebuild(kg, [_example("q", [("a", "only_here", "b")])], 1.0, 0)
-        assert derived._token_relations["here"] == {"only_here", "here_too"}  # shared with the base
+        assert derived._token_relations["here"] == {"only_here", "here_too", *hub}  # shared with the base
         assert derived.relation_search("c", "only here") == ["here_too"]
-        assert derived.relation_search("e", "only here", k=1) == ["here_too"]  # through the token index
+        got = derived.relation_search("e", "only here")  # through the token index
+        assert len(got) == TOP_K_RELATIONS and "only_here" not in got
         assert "only_here" not in derived.relations
 
     def test_token_index_is_shared_while_no_relation_vanishes(self):
@@ -562,7 +597,7 @@ def _assert_canonical_heads(kg):
         held.setdefault(head, set()).add(relation)
     assert set(kg.head_index) == set(held)
     for head, relations in kg.head_index.items():
-        if len(held[head]) <= 15:
+        if len(held[head]) <= TOP_K_RELATIONS:
             assert type(relations) is tuple and list(relations) == sorted(held[head]), head
         else:
             assert type(relations) is frozenset and relations == held[head], head
@@ -606,13 +641,15 @@ class TestTailTuples:
         kg = KnowledgeGraph.from_triples([("a", r, "b") for r in reversed(relations)] + [("c", "r_00", "d")])
         assert kg.head_index["c"] == ("r_00",)
         assert kg.head_index["a"] == frozenset(relations)
-        assert kg.relation_search("a", "r 03", k=1) == ["r_03"]  # through the token index
+        got = kg.relation_search("a", "r 03")  # through the token index
+        assert got[0] == "r_03" and got == _rank_oracle(kg, "a", "r 03")[:TOP_K_RELATIONS]
         derived = _assert_matches_rebuild(kg, [_example("q", [("c", "r_00", "d")])], 1.0, 0)
         assert derived.head_index["a"] is kg.head_index["a"]  # untouched heads are shared
         kg = KnowledgeGraph.from_triples([("a", r, "b") for r in relations[:15]] + [("a", "r_15", "x")])
         derived = _assert_matches_rebuild(kg, [_example("q", [("a", "r_15", "x")])], 1.0, 0)
         assert derived.head_index["a"] == tuple(relations[:15])
-        assert derived.relation_search("a", "r 03", k=1) == ["r_03"]  # a tuple through the token index
+        got = derived.relation_search("a", "r 03")  # a tuple, ranked whole
+        assert got[0] == "r_03" and sorted(got) == relations[:15]
         derived = _assert_matches_rebuild(kg, [_example("q", [("a", "r_03", "b")])], 1.0, 0)
         assert derived.head_index["a"] == ("r_15",)  # every edge from a to b goes
 

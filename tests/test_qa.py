@@ -92,3 +92,20 @@ def test_a_string_is_not_a_list(tmp_path, field):
     path.write_text('{"id": "q", "question": "?", ' + field + "}\n")
     with pytest.raises(QAError, match=f"line 1 of {path}: .* must be a list"):
         load_qa(path)
+
+
+@pytest.mark.parametrize("value", ["null", "3", '{"a": 1}'], ids=["null", "number", "object"])
+@pytest.mark.parametrize("field, record", [
+    ("question", '"question": VALUE, "topic_entities": [], "answers": [["Iran"]]'),
+    ("topic_entities", '"question": "?", "topic_entities": ["Iran", VALUE], "answers": [["Iran"]]'),
+    ("answers", '"question": "?", "topic_entities": [], "answers": [["Iran", VALUE]]'),
+    ("critical_triples", '"question": "?", "topic_entities": [], "answers": [["Iran"]], '
+                         '"critical_triples": [["Iranian_rial", "currency_of", VALUE]]'),
+], ids=["question", "topic entity", "alias", "critical triple member"])
+def test_a_value_that_is_not_text_names_file_and_line(tmp_path, field, record, value):
+    # str() would make gold alias "None", or "3", of such a value
+    path = tmp_path / "qa.jsonl"
+    path.write_text('{"id": "q1", "question": "?", "topic_entities": [], "answers": [["a"]]}\n'
+                    '{"id": "q2", ' + record.replace("VALUE", value) + "}\n")
+    with pytest.raises(QAError, match=f"line 2 of {path}: '{field}' must be text"):
+        load_qa(path)

@@ -135,6 +135,16 @@ class TestOfflineCorpus:
         with pytest.raises(WebToolError, match=f"line 1 of {path}: 'keys' must be a list"):
             OfflineWebTool.from_path(path)
 
+    @pytest.mark.parametrize("value", [None, 5, {"a": 1}, ["iran"]], ids=["null", "number", "object", "list"])
+    @pytest.mark.parametrize("field", ["keys", "snippet"])
+    def test_a_value_that_is_not_text_names_file_and_line(self, tmp_path, field, value):
+        # once as the first sight of a key, once after the same key as text
+        path = tmp_path / "corpus.jsonl"
+        bad = {"keys": ["iran", value], "snippet": "S."} if field == "keys" else {"keys": ["iran"], "snippet": value}
+        path.write_text(json.dumps({"keys": ["iran", "5"], "snippet": "Iran."}) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(WebToolError, match=f"line 2 of {path}: '{field}' must be text"):
+            OfflineWebTool.from_path(path)
+
 
 def _corpus_records(n: int) -> list[tuple[list[str], str]]:
     """``n`` generated records that, like the benchmark corpus, each hold a

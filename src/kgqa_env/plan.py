@@ -10,15 +10,17 @@ Grammar (one sub-question per line)::
     ID: ID                          # plain reference
 
 IDs look like S1, S2, ...; an Ans head is either literal entity text or a
-sub-question id, meaning "each answer of that sub-question". Forward
-references are allowed as long as the dependency graph stays acyclic.
+sub-question id, meaning "each answer of that sub-question". Every other
+line parses to one :class:`SetOp`. Forward references are allowed as long
+as the dependency graph stays acyclic; :func:`parse_plan` stores the order
+the sub-questions run in as ``Plan.order``.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Mapping, Set, Union as TypingUnion
+from typing import Mapping, Set
 
 ID_RE = re.compile(r"^[Ss]\d+$")
 _LINE_RE = re.compile(r"^\s*([Ss]\d+)\s*:\s*(.+?)\s*$")
@@ -40,78 +42,61 @@ class Ans:
     target_type: str
     head: str
     relation_hypothesis: str
-    head_is_ref: bool = False
+
+    @property
+    def head_is_ref(self) -> bool:
+        """Whether ``head`` names a sub-question rather than an entity."""
+        return bool(ID_RE.match(self.head))
 
 
 @dataclass(frozen=True)
-class Inter:
+class SetOp:
+    """Set algebra over bound sub-answers. ``op`` is "inter", "union",
+    "negation" (the first reference minus the union of the rest) or "ref"
+    (the one reference, unchanged)."""
+
+    op: str
     refs: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Union:
-    refs: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class Negation:
-    """Primary set minus the union of the subtracted sets."""
-
-    primary: str
-    subtracted: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class Ref:
-    id: str
-
-
-Expr = TypingUnion[Ans, Inter, Union, Negation, Ref]
+Expr = Ans | SetOp
 
 
 @dataclass(frozen=True)
 class SubQuestion:
     id: str
-    text: str
     expr: Expr
 
 
 @dataclass(frozen=True)
 class Plan:
+    """Sub-questions in declaration order (the last one is the answer) and
+    ``order``, their ids in execution order: dependencies first, and among
+    ready sub-questions declaration order wins, so it is deterministic."""
+
     sub_questions: tuple[SubQuestion, ...]
-
-    def ids(self) -> list[str]:
-        return [sq.id for sq in self.sub_questions]
-
-    def by_id(self, sq_id: str) -> SubQuestion:
-        for sq in self.sub_questions:
-            if sq.id == sq_id:
-                return sq
-        raise KeyError(sq_id)
+    order: tuple[str, ...]
 
 
 def expr_dependencies(expr: Expr) -> tuple[str, ...]:
     """Sub-question ids an expression depends on."""
-    if isinstance(expr, Ans):
-        return (expr.head,) if expr.head_is_ref else ()
-    if isinstance(expr, (Inter, Union)):
+    if isinstance(expr, SetOp):
         return expr.refs
-    if isinstance(expr, Negation):
-        return (expr.primary, *expr.subtracted)
-    return (expr.id,)
+    return (expr.head,) if expr.head_is_ref else ()
 
 
 def _split_ids(text: str, lineno: int, what: str) -> tuple[str, ...]:
-    ids = tuple(part.strip().upper() for part in text.split(",") if part.strip())
+    ids = tuple(part.strip().upper() for part in text.split(","))
     for sq_id in ids:
         if not ID_RE.match(sq_id):
             raise PlanError(f"line {lineno}: {what} argument {sq_id!r} is not a sub-question id")
     return ids
 
+
 def _parse_expr(src: str, lineno: int) -> Expr:
     src = src.strip()
     if ID_RE.match(src):
-        return Ref(src.upper())
+        return SetOp("ref", (src.upper(),))
     call = _CALL_RE.match(src)
     if not call:
         raise PlanError(f"line {lineno}: cannot parse expression {src!r}")
@@ -130,27 +115,20 @@ def _parse_expr(src: str, lineno: int) -> Expr:
         head = head.strip()
         if not head:
             raise PlanError(f"line {lineno}: relation call has an empty head")
-        is_ref = bool(ID_RE.match(head))
-        return Ans(target_type.strip(), head.upper() if is_ref else head, relation, head_is_ref=is_ref)
-    if name == "inter":
-        refs = _split_ids(inner, lineno, "inter")
+        return Ans(target_type.strip(), head.upper() if ID_RE.match(head) else head, relation)
+    if name in ("inter", "union"):
+        refs = _split_ids(inner, lineno, name)
         if len(refs) < 2:
-            raise PlanError(f"line {lineno}: inter needs at least 2 arguments")
-        return Inter(refs)
-    if name == "union":
-        refs = _split_ids(inner, lineno, "union")
-        if len(refs) < 2:
-            raise PlanError(f"line {lineno}: union needs at least 2 arguments")
-        return Union(refs)
+            raise PlanError(f"line {lineno}: {name} needs at least 2 arguments")
+        return SetOp(name, refs)
     if name == "negation":
         primary, sep, rest = inner.partition(";")
         primary = primary.strip().upper()
         if not ID_RE.match(primary):
             raise PlanError(f"line {lineno}: negation primary {primary!r} is not a sub-question id")
-        subtracted = _split_ids(rest, lineno, "negation") if sep else ()
-        if not subtracted:
+        if not sep:
             raise PlanError(f"line {lineno}: negation needs at least one subtracted id")
-        return Negation(primary, subtracted)
+        return SetOp("negation", (primary, *_split_ids(rest, lineno, "negation")))
     raise PlanError(f"line {lineno}: unknown function {name!r}")
 
 
@@ -170,26 +148,22 @@ def parse_plan(content: str) -> Plan:
         if sq_id in declared:
             raise PlanError(f"line {lineno}: duplicate sub-question id {sq_id}")
         declared.add(sq_id)
-        subs.append(SubQuestion(sq_id, m.group(2).strip(), _parse_expr(m.group(2), lineno)))
+        subs.append(SubQuestion(sq_id, _parse_expr(m.group(2), lineno)))
     if not subs:
         raise PlanError("plan has no sub-questions")
-    plan = Plan(tuple(subs))
     for sq in subs:
         for dep in expr_dependencies(sq.expr):
             if dep not in declared:
                 raise PlanError(f"sub-question {sq.id} references undeclared id {dep}")
-    execution_order(plan)  # raises on cycles
-    return plan
+    return Plan(tuple(subs), _execution_order(subs))
 
 
-def execution_order(plan: Plan) -> list[str]:
-    """Dependency-respecting execution order; among ready sub-questions,
-    declaration order wins, so the result is deterministic."""
-    ids = plan.ids()
-    deps = {sq.id: set(expr_dependencies(sq.expr)) for sq in plan.sub_questions}
+def _execution_order(subs: list[SubQuestion]) -> tuple[str, ...]:
+    """``Plan.order`` of these sub-questions; raises on a dependency cycle."""
+    deps = {sq.id: set(expr_dependencies(sq.expr)) for sq in subs}
     order: list[str] = []
     placed: set[str] = set()
-    remaining = list(ids)
+    remaining = list(deps)
     while remaining:
         ready = next((sq_id for sq_id in remaining if deps[sq_id] <= placed), None)
         if ready is None:
@@ -197,37 +171,21 @@ def execution_order(plan: Plan) -> list[str]:
         order.append(ready)
         placed.add(ready)
         remaining.remove(ready)
-    return order
+    return tuple(order)
+
+
+#: Each set operation applied to its references' sets, first one first.
+_APPLY = {"inter": set.intersection, "union": set.union, "negation": set.difference, "ref": set.union}
 
 
 def eval_expr(expr: Expr, bindings: Mapping[str, Set[str]]) -> set[str]:
     """Evaluate a set-algebra expression over bound sub-answers (normalized
     texts). ``Ans`` nodes are resolved by tool calls during rollout and are
-    an error here; a Negation with no subtracted sets is the identity."""
+    an error here; a negation with no subtracted sets is the identity."""
     if isinstance(expr, Ans):
         raise PlanError("Ans expressions are resolved by rollout tool calls, not eval_expr")
-
-    def bound(sq_id: str) -> set[str]:
-        if sq_id not in bindings:
-            raise PlanError(f"unbound sub-question reference {sq_id}")
-        return set(bindings[sq_id])
-
-    if isinstance(expr, Ref):
-        return bound(expr.id)
-    if isinstance(expr, Inter):
-        sets = [bound(r) for r in expr.refs]
-        out = sets[0]
-        for s in sets[1:]:
-            out &= s
-        return out
-    if isinstance(expr, Union):
-        out: set[str] = set()
-        for r in expr.refs:
-            out |= bound(r)
-        return out
-    if isinstance(expr, Negation):
-        out = bound(expr.primary)
-        for r in expr.subtracted:
-            out -= bound(r)
-        return out
-    raise PlanError(f"unknown expression node {expr!r}")
+    unbound = next((sq_id for sq_id in expr.refs if sq_id not in bindings), None)
+    if unbound is not None:
+        raise PlanError(f"unbound sub-question reference {unbound}")
+    first, *rest = (bindings[sq_id] for sq_id in expr.refs)
+    return _APPLY[expr.op](set(first), *rest)

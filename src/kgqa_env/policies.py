@@ -7,7 +7,7 @@ from typing import Generator
 
 from .jsonio import post_json
 from .kg import display, is_sentinel
-from .plan import Ans, eval_expr, execution_order, parse_plan
+from .plan import Ans, eval_expr, parse_plan
 from .qa import QAExample
 from .rollout import FORCE_ANSWER_DIRECTIVE, STOP_TAGS, Policy, RolloutError
 from .text import normalize
@@ -63,9 +63,11 @@ class ScriptedOracle(Policy):
 
 
 def _script(example: QAExample) -> Generator[str, str, None]:
-    """Run ``example``'s recorded plan top to bottom. Each ``yield`` emits
-    one segment and receives the conversation the engine shows next; the
-    first ``next`` runs the set-up and stops before the first emission.
+    """Run ``example``'s recorded plan in ``Plan.order``, the execution
+    order :func:`parse_plan` stored: a set operation is evaluated on the
+    spot, and an ``Ans`` runs one tool-call chain per head. Each ``yield``
+    emits one segment and receives the conversation the engine shows next;
+    the first ``next`` runs the set-up and stops before the first emission.
 
     A seeded deviation of a perturbed oracle would replace or skip the
     ``yield`` it perturbs. A partial-hop fallback would go where the
@@ -73,13 +75,14 @@ def _script(example: QAExample) -> Generator[str, str, None]:
     the web as on the sentinel and bind the gold tails.
     """
     plan = parse_plan(example.plan)
+    exprs = {sq.id: sq.expr for sq in plan.sub_questions}
     gold: dict[tuple[str, str], set[str]] | None = None  # built at the first web fallback
     bindings: dict[str, set[str]] = {}
     yield ""  # primed: reset() returns here
     yield (render_block(THINK, "Decompose the question and schedule retrieval.")
            + "\n" + render_block(PLAN, example.plan))
-    for sq_id in execution_order(plan):
-        expr = plan.by_id(sq_id).expr
+    for sq_id in plan.order:
+        expr = exprs[sq_id]
         if not isinstance(expr, Ans):
             bindings[sq_id] = eval_expr(expr, bindings)
             continue

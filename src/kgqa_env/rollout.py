@@ -33,6 +33,7 @@ from .text import normalize
 from .trajectory import (
     ANSWER,
     INFO_FOR,
+    INFO_TAGS,
     NEIGHBOR_SEARCH,
     PLAN,
     RELATION_SEARCH,
@@ -161,8 +162,10 @@ def run_rollout(
 
     The returned trajectory contains only generated and injected blocks; the
     instruction prompt is shown to the policy but kept out of the trajectory
-    text. An unparseable policy segment is dropped and the policy is
-    directed to answer immediately; the format reward scores what is left.
+    text. An unparseable policy segment, or one that holds an information
+    block, is dropped and the policy is directed to answer immediately; the
+    format reward scores what is left. So every information block in the
+    trajectory was injected by the engine.
     """
     cfg = cfg or RolloutConfig()
     prompt = build_prompt(example)
@@ -181,6 +184,8 @@ def run_rollout(
             parsed = parse_trajectory(piece)
         except ParseError:
             break  # drop the segment, direct an immediate answer
+        if any(step.tag in INFO_TAGS for step in parsed.steps):
+            break  # only the engine writes information blocks: drop it too
         text += piece
         steps.extend(parsed.steps)
         if action is None:

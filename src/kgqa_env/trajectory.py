@@ -165,8 +165,10 @@ def validate_format(traj: Trajectory) -> tuple[str, ...]:
 def retrieval_mask(traj: Trajectory) -> list[tuple[int, int]]:
     """Char spans in ``traj.raw`` of every information block (content plus
     delimiters), disjoint and sorted. These spans are excluded from the
-    training loss: the policy did not generate the retrieved text. Exact on
-    any text that parses, because no block holds a tag."""
+    training loss: the policy did not generate the retrieved text, because
+    ``run_rollout`` drops any policy segment that holds an information
+    block, so every one it returns was injected by the engine. Exact on any
+    text that parses, because no block holds a tag."""
     return [m.span() for m in _INFO_BLOCK_RE.finditer(traj.raw)]
 
 

@@ -15,7 +15,7 @@ from kgqa_env.data import TOY_ALIASES, TOY_KG, TOY_QA, TOY_WEB_CORPUS
 from kgqa_env.evaluate import hits_at_1, web_search_ratio
 from kgqa_env.filtering import RuleJudge, filter_trajectory
 from kgqa_env.kg import load_triples, sample_ikg
-from kgqa_env.plan import Inter, Negation, Union, eval_expr, execution_order, expr_dependencies, parse_plan
+from kgqa_env.plan import SetOp, eval_expr, expr_dependencies, parse_plan
 from kgqa_env.policies import ScriptedOracle
 from kgqa_env.qa import load_qa
 from kgqa_env.rewards import group_advantages, overall_reward, score_trajectory
@@ -239,22 +239,22 @@ def test_criterion_9_plan_algebra_properties():
             ids = sorted(bindings)
             perm = ids[:]
             rng.shuffle(perm)
-            inter_all = eval_expr(Inter(tuple(ids)), bindings)
-            union_all = eval_expr(Union(tuple(ids)), bindings)
-            assert inter_all == eval_expr(Inter(tuple(perm)), bindings)
-            assert union_all == eval_expr(Union(tuple(perm)), bindings)
+            inter_all = eval_expr(SetOp("inter", tuple(ids)), bindings)
+            union_all = eval_expr(SetOp("union", tuple(ids)), bindings)
+            assert inter_all == eval_expr(SetOp("inter", tuple(perm)), bindings)
+            assert union_all == eval_expr(SetOp("union", tuple(perm)), bindings)
             # associativity: folding pairwise agrees with the flat form
-            lhs = eval_expr(Inter((ids[0], ids[1])), bindings) & eval_expr(Inter((ids[2], ids[3])), bindings)
+            lhs = eval_expr(SetOp("inter", (ids[0], ids[1])), bindings) & eval_expr(SetOp("inter", (ids[2], ids[3])), bindings)
             assert lhs == inter_all
-            lhs = eval_expr(Union((ids[0], ids[1])), bindings) | eval_expr(Union((ids[2], ids[3])), bindings)
+            lhs = eval_expr(SetOp("union", (ids[0], ids[1])), bindings) | eval_expr(SetOp("union", (ids[2], ids[3])), bindings)
             assert lhs == union_all
-            assert eval_expr(Inter((ids[0], ids[0])), bindings) == bindings[ids[0]]
-            assert eval_expr(Union((ids[0], ids[0])), bindings) == bindings[ids[0]]
-            assert eval_expr(Negation(ids[0], ()), bindings) == bindings[ids[0]]
+            assert eval_expr(SetOp("inter", (ids[0], ids[0])), bindings) == bindings[ids[0]]
+            assert eval_expr(SetOp("union", (ids[0], ids[0])), bindings) == bindings[ids[0]]
+            assert eval_expr(SetOp("negation", (ids[0],)), bindings) == bindings[ids[0]]
         for _ in range(200):
             plan = parse_plan(_random_plan_text(rng))
-            order = execution_order(plan)
-            assert sorted(order) == sorted(plan.ids())
+            order = plan.order
+            assert sorted(order) == sorted(sq.id for sq in plan.sub_questions)
             pos = {sq_id: i for i, sq_id in enumerate(order)}
             for sq in plan.sub_questions:
                 for dep in expr_dependencies(sq.expr):

@@ -96,6 +96,10 @@ class TestRuleJudge:
     def test_unparseable_plan_scores_zero(self, tk1_example):
         assert RuleJudge().score(tk1_example, "not a plan at all") == 0
 
+    def test_plan_with_an_empty_argument_scores_zero(self, tk1_example):
+        plan = "S1: Ans(country | currency_of(Iranian rial, ?))\nS2: Ans(country | currency_of(Iranian rial, ?))\n"
+        assert RuleJudge().score(tk1_example, plan + "S3: union(S1, S2,)") == 0
+
     def test_single_hop_plan_with_topic_scores_one(self, tk1_example):
         assert RuleJudge().score(tk1_example, tk1_example.plan) == 1
 

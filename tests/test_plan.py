@@ -1,22 +1,10 @@
+import itertools
 import random
 from functools import reduce
 
 import pytest
 
-from kgqa_env.plan import (
-    Ans,
-    Inter,
-    Negation,
-    Plan,
-    PlanError,
-    Ref,
-    SubQuestion,
-    Union,
-    eval_expr,
-    execution_order,
-    expr_dependencies,
-    parse_plan,
-)
+from kgqa_env.plan import Ans, PlanError, SetOp, eval_expr, expr_dependencies, parse_plan
 
 FIXTURE = (
     "S1: Ans(country | currency_of(Iranian rial, ?))\n"
@@ -25,18 +13,24 @@ FIXTURE = (
 )
 
 
+def _exprs(plan):
+    """Each sub-question's expression by id, in declaration order."""
+    return {sq.id: sq.expr for sq in plan.sub_questions}
+
+
 class TestParse:
     def test_three_line_fixture(self):
         plan = parse_plan(FIXTURE)
-        assert plan.ids() == ["S1", "S2", "S3"]
-        s1 = plan.by_id("S1").expr
+        exprs = _exprs(plan)
+        assert list(exprs) == ["S1", "S2", "S3"]
+        s1 = exprs["S1"]
         assert s1 == Ans("country", "Iranian rial", "currency_of")
-        assert expr_dependencies(plan.by_id("S3").expr) == ("S1", "S2")
+        assert expr_dependencies(exprs["S3"]) == ("S1", "S2")
 
     def test_single_atomic_plan(self):
-        plan = parse_plan("S1: Ans(country | currency_of(Iranian rial, ?))")
-        assert plan.ids() == ["S1"]
-        assert expr_dependencies(plan.by_id("S1").expr) == ()
+        exprs = _exprs(parse_plan("S1: Ans(country | currency_of(Iranian rial, ?))"))
+        assert list(exprs) == ["S1"]
+        assert expr_dependencies(exprs["S1"]) == ()
 
     def test_self_reference_cycle(self):
         with pytest.raises(PlanError, match="cycle"):
@@ -60,19 +54,19 @@ class TestParse:
 
     def test_ans_head_reference(self):
         plan = parse_plan("S1: Ans(country | currency_of(Danish krone, ?))\nS2: Ans(city | capital(S1, ?))")
-        s2 = plan.by_id("S2").expr
+        s2 = _exprs(plan)["S2"]
         assert s2.head_is_ref and s2.head == "S1"
         assert expr_dependencies(s2) == ("S1",)
 
     def test_head_with_comma_survives(self):
         plan = parse_plan("S1: Ans(city | located_in(Washington, D.C., ?))")
-        assert plan.by_id("S1").expr.head == "Washington, D.C."
+        assert _exprs(plan)["S1"].head == "Washington, D.C."
 
     def test_negation_grammar(self):
         plan = parse_plan(
             "S1: Ans(t | r(x, ?))\nS2: Ans(t | r(y, ?))\nS3: negation(S1; S2)"
         )
-        assert plan.by_id("S3").expr == Negation("S1", ("S2",))
+        assert _exprs(plan)["S3"] == SetOp("negation", ("S1", "S2"))
 
     def test_negation_requires_subtrahend(self):
         with pytest.raises(PlanError):
@@ -84,7 +78,7 @@ class TestParse:
 
     def test_bare_reference(self):
         plan = parse_plan("S1: Ans(t | r(x, ?))\nS2: S1")
-        assert plan.by_id("S2").expr == Ref("S1")
+        assert _exprs(plan)["S2"] == SetOp("ref", ("S1",))
 
     @pytest.mark.parametrize("text", ["", "  \n", "\n\n"])
     def test_blank_plan_is_an_error(self, text):
@@ -95,32 +89,50 @@ class TestParse:
         with pytest.raises(PlanError, match="line 1"):
             parse_plan("S1: Ans(t | r(x, y))")
 
+    @pytest.mark.parametrize("call", ["inter(S1, , S2)", "union(S1, S2,)", "union(, S1, S2)", "negation(S1; S2,)"])
+    def test_empty_argument_is_an_error(self, call):
+        with pytest.raises(PlanError, match="line 3"):
+            parse_plan(f"S1: Ans(t | r(x, ?))\nS2: Ans(t | r(y, ?))\nS3: {call}")
+
 
 class TestExecutionOrder:
     def test_fixture_order(self):
-        assert execution_order(parse_plan(FIXTURE)) == ["S1", "S2", "S3"]
+        assert parse_plan(FIXTURE).order == ("S1", "S2", "S3")
 
     def test_independents_keep_declaration_order(self):
         plan = parse_plan("S1: Ans(t | r(x, ?))\nS2: Ans(t | r(y, ?))")
-        assert execution_order(plan) == ["S1", "S2"]
+        assert plan.order == ("S1", "S2")
 
     def test_chain_declared_in_reverse(self):
         plan = parse_plan(
             "S3: Ans(t | r(S2, ?))\nS2: Ans(t | r(S1, ?))\nS1: Ans(t | r(x, ?))"
         )
-        assert execution_order(plan) == ["S1", "S2", "S3"]
+        assert plan.order == ("S1", "S2", "S3")
 
     def test_random_acyclic_plans_topologically_valid(self):
         rng = random.Random(23)
         for _ in range(60):
             plan_text, _ = _random_plan(rng)
             plan = parse_plan(plan_text)
-            order = execution_order(plan)
-            assert sorted(order) == sorted(plan.ids())
+            order = plan.order
+            assert sorted(order) == sorted(_exprs(plan))
             pos = {sq_id: i for i, sq_id in enumerate(order)}
             for sq in plan.sub_questions:
                 for dep in expr_dependencies(sq.expr):
                     assert pos[dep] < pos[sq.id]
+
+    def test_random_plans_run_in_the_least_declaration_order(self):
+        # Brute force: of every order that puts dependencies first, the one
+        # least by declaration positions, which is the order in which the
+        # first declared ready sub-question always runs next.
+        rng = random.Random(29)
+        for _ in range(60):
+            plan = parse_plan(_random_plan(rng)[0])
+            exprs = _exprs(plan)
+            valid = (order for order in itertools.permutations(exprs)
+                     if all(dep in order[:i] for i, sq_id in enumerate(order)
+                            for dep in expr_dependencies(exprs[sq_id])))
+            assert plan.order == next(valid)
 
 
 def _random_plan(rng):
@@ -146,19 +158,19 @@ def _random_plan(rng):
 class TestEval:
     def test_inter_fixture_values(self):
         bindings = {"S1": {"harold ramis", "billy crystal"}, "S2": {"harold ramis"}}
-        assert eval_expr(Inter(("S1", "S2")), bindings) == {"harold ramis"}
+        assert eval_expr(SetOp("inter", ("S1", "S2")), bindings) == {"harold ramis"}
 
     def test_union_disjoint(self):
-        assert eval_expr(Union(("S1", "S2")), {"S1": {"a"}, "S2": {"b"}}) == {"a", "b"}
+        assert eval_expr(SetOp("union", ("S1", "S2")), {"S1": {"a"}, "S2": {"b"}}) == {"a", "b"}
 
     def test_negation(self):
-        assert eval_expr(Negation("S1", ("S2",)), {"S1": {"a", "b"}, "S2": {"b"}}) == {"a"}
+        assert eval_expr(SetOp("negation", ("S1", "S2")), {"S1": {"a", "b"}, "S2": {"b"}}) == {"a"}
 
     def test_negation_empty_subtrahend_is_identity(self):
-        assert eval_expr(Negation("S1", ()), {"S1": {"a", "b"}}) == {"a", "b"}
+        assert eval_expr(SetOp("negation", ("S1",)), {"S1": {"a", "b"}}) == {"a", "b"}
 
     def test_ref(self):
-        assert eval_expr(Ref("S1"), {"S1": {"x"}}) == {"x"}
+        assert eval_expr(SetOp("ref", ("S1",)), {"S1": {"x"}}) == {"x"}
 
     def test_ans_is_an_error(self):
         with pytest.raises(PlanError, match="tool calls"):
@@ -166,7 +178,7 @@ class TestEval:
 
     def test_unbound_reference(self):
         with pytest.raises(PlanError, match="unbound"):
-            eval_expr(Ref("S9"), {})
+            eval_expr(SetOp("ref", ("S9",)), {})
 
     def test_commutativity_associativity_idempotence(self):
         rng = random.Random(5)
@@ -179,9 +191,9 @@ class TestEval:
             ids = ["S1", "S2", "S3"]
             perm = ids[:]
             rng.shuffle(perm)
-            for op, setop in ((Inter, set.intersection), (Union, set.union)):
+            for op, setop in (("inter", set.intersection), ("union", set.union)):
                 expected = reduce(setop, (set(bindings[i]) for i in ids))
-                assert eval_expr(op(tuple(ids)), bindings) == expected
-                assert eval_expr(op(tuple(perm)), bindings) == expected
-            assert eval_expr(Inter(("S1", "S1")), bindings) == bindings["S1"]
-            assert eval_expr(Union(("S1", "S1")), bindings) == bindings["S1"]
+                assert eval_expr(SetOp(op, tuple(ids)), bindings) == expected
+                assert eval_expr(SetOp(op, tuple(perm)), bindings) == expected
+            assert eval_expr(SetOp("inter", ("S1", "S1")), bindings) == bindings["S1"]
+            assert eval_expr(SetOp("union", ("S1", "S1")), bindings) == bindings["S1"]

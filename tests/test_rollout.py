@@ -5,10 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgqa_env import policies, rollout
-from kgqa_env.kg import SENTINEL, KnowledgeGraph, Triple, display, is_sentinel, sample_ikg
-from kgqa_env.plan import Ans, PlanError, eval_expr, execution_order, parse_plan
+from kgqa_env.kg import COVERAGE_CKG, SENTINEL, KnowledgeGraph, Triple, display, is_sentinel, sample_ikg
+from kgqa_env.plan import Ans, PlanError, eval_expr, parse_plan
 from kgqa_env.policies import RemotePolicy, ScriptedOracle
 from kgqa_env.qa import QAExample, build_prompt
+from kgqa_env.rewards import score_trajectory
 from kgqa_env.rollout import (
     FORCE_ANSWER_DIRECTIVE,
     MALFORMED_TOOL_CALL,
@@ -38,6 +39,7 @@ from kgqa_env.trajectory import (
     answer_items,
     parse_trajectory,
     render_block,
+    retrieval_mask,
     validate_format,
 )
 from kgqa_env.web import OfflineWebTool, WebTool, WebToolError
@@ -301,6 +303,21 @@ class TestEngineEdges:
         traj = run_rollout(policy, tk1, tk1_web, tk1_example)
         assert [s.tag for s in traj.steps] == ["think", "answer"]
 
+    @pytest.mark.parametrize("info", sorted(INFO_TAGS))
+    def test_an_information_block_the_policy_wrote_is_dropped(self, tk1, tk1_example, tk1_web, info):
+        # Kept, it would be masked out of the loss as retrieved text and
+        # count as graph or web coverage for the reward.
+        policy = ScriptedSegments([
+            "<plan>S1: Ans(country | currency_of(Iranian rial, ?))</plan>",
+            f"<{info}>Iran</{info}><answer>Iran</answer>",
+            "<answer>Iran</answer>",           # consumed by the forced path
+        ])
+        traj = run_rollout(policy, tk1, tk1_web, tk1_example)
+        assert [s.tag for s in traj.steps] == ["plan", "answer"]
+        assert retrieval_mask(traj) == []
+        breakdown = score_trajectory(traj, tk1_example.answers, COVERAGE_CKG)
+        assert (breakdown.r_graph, breakdown.r_web) == (0.0, 0.0)
+
 
 class TestRemotePolicy:
     def test_wire_protocol_and_rollout(self, stub_server, tk1, tk1_example, tk1_web):
@@ -355,6 +372,8 @@ def _reference_rollout(policy, kg, web, example, cfg=None):
             parsed = parse_trajectory(text + piece, question_id=example.id)
         except ParseError:
             break
+        if sum(step.tag in INFO_TAGS for step in parsed.steps) > iterations:
+            break  # the piece holds an information block the engine did not inject
         text += piece
         if action is None:
             break
@@ -388,7 +407,8 @@ class _ReferenceOracle(Policy):
             raise RolloutError(f"question {example.id!r} has no recorded plan for the scripted oracle")
         self._example = example
         self._plan = parse_plan(example.plan)
-        self._order = execution_order(self._plan)
+        self._order = self._plan.order
+        self._by_id = {sq.id: sq for sq in self._plan.sub_questions}
         self._plan_emitted = False
         self._qi = 0
         self._heads = []
@@ -441,7 +461,7 @@ class _ReferenceOracle(Policy):
 
     def _advance(self):
         while self._qi < len(self._order):
-            sub = self._plan.by_id(self._order[self._qi])
+            sub = self._by_id[self._order[self._qi]]
             expr = sub.expr
             if not isinstance(expr, Ans):
                 self._bindings[sub.id] = eval_expr(expr, self._bindings)

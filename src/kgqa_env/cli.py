@@ -121,7 +121,7 @@ def cmd_build_kg(args: argparse.Namespace) -> int:
         write_triples(kg, args.out)
     stats = {
         "triples": len(kg),
-        "entities": len(set(kg.head_index).union(*kg.pair_index.values(), kg.aliases)),
+        "entities": len(kg.entities),
         "relations": len(kg.relations),
         "head_entities": len(kg.head_index),
     }

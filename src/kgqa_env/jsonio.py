@@ -52,6 +52,18 @@ def json_text(value: Any, field: str) -> str:
     return value
 
 
+def json_id(value: Any, field: str) -> str:
+    """``value`` as an id's text: a JSON string as it is, a number as its
+    ``str()``; else ``ValueError`` naming ``field``, as :func:`json_list`
+    does. Null, true, false, a list or an object is not taken for the text
+    of its ``str()``."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return str(value)
+    raise ValueError(f"{field!r} must be text or a number, got {value!r}")
+
+
 def write_jsonl(records: Iterable[Any], path: str | Path) -> None:
     """Write one compact JSON document per line (UTF-8)."""
     with Path(path).open("w", encoding="utf-8") as fh:

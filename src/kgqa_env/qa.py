@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .jsonio import json_list, json_text, read_jsonl
+from .jsonio import json_id, json_list, json_text, read_jsonl
 from .kg import SENTINEL, Triple
 from .text import _STRIP_CHARS
 
@@ -49,9 +49,10 @@ class QAExample:
 def load_qa(path: str | Path) -> list[QAExample]:
     """Load a JSON-lines QA file. Each line carries
     {"id", "question", "topic_entities", "answers", "critical_triples"}
-    plus an optional "plan" (text or null). The id is read as text; a
-    question, topic entity, alias or triple member that is not a string is
-    a :class:`QAError` naming the file and line.
+    plus an optional "plan" (text or null). The id is read as text (a number
+    as its digits); an id that is neither, and a question, topic entity,
+    alias or triple member that is not a string, is a :class:`QAError`
+    naming the file and line.
 
     A question without gold answers, or with a gold answer whose every
     alias is blank or punctuation only, is a :class:`QAError` naming the
@@ -64,7 +65,7 @@ def load_qa(path: str | Path) -> list[QAExample]:
         if plan is not None and not isinstance(plan, str):
             raise ValueError(f"'plan' must be text or null, got {plan!r}")
         ex = QAExample(
-            id=str(rec["id"]),
+            id=json_id(rec["id"], "id"),
             question=json_text(rec["question"], "question"),
             topic_entities=tuple(json_text(e, "topic_entities")
                                  for e in json_list(rec["topic_entities"], "topic_entities")),

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from .jsonio import read_jsonl, write_jsonl
+from .jsonio import json_id, read_jsonl, write_jsonl
 from .text import normalize
 
 THINK = "think"
@@ -183,10 +183,11 @@ def answer_items(traj: Trajectory) -> list[str]:
 
 
 def read_trajectories(path: str | Path) -> list[Trajectory]:
-    """Read a JSON-lines trajectory file ({"id", "text"}) and parse each line."""
-    return list(read_jsonl(
-        path, ValueError, "trajectory record", lambda rec: parse_trajectory(rec["text"], question_id=str(rec["id"]))
-    ))
+    """Read a JSON-lines trajectory file ({"id", "text"}) and parse each
+    line. An id is read as text (a number as its digits); one that is
+    neither is an error naming the file and line."""
+    return list(read_jsonl(path, ValueError, "trajectory record",
+                           lambda rec: parse_trajectory(rec["text"], question_id=json_id(rec["id"], "id"))))
 
 
 def write_trajectories(trajs: Iterable[Trajectory], path: str | Path) -> None:

@@ -8,7 +8,7 @@ import pytest
 from kgqa_env.cli import main
 from kgqa_env.data import TOY_ALIASES, TOY_KG, TOY_QA, TOY_WEB_CORPUS
 from kgqa_env.filtering import JudgeError, RemoteJudge
-from kgqa_env.jsonio import post_json, read_jsonl, write_jsonl
+from kgqa_env.jsonio import json_id, post_json, read_jsonl, write_jsonl
 from kgqa_env.policies import RemotePolicy
 from kgqa_env.rewards import read_scores
 from kgqa_env.rollout import STOP_TAGS, RolloutError
@@ -51,6 +51,30 @@ class TestJsonLines:
         path.write_text("\n" + GOOD_TRAJ + "\n" + json.dumps({"id": "q2", "text": "<plan>unclosed"}) + "\n")
         with pytest.raises(ValueError, match=f"line 3 of {path}.*unclosed"):
             read_trajectories(path)
+
+    @pytest.mark.parametrize("value", ["null", "true", "false", '["q1"]', '{"a": 1}'],
+                             ids=["null", "true", "false", "list", "object"])
+    def test_trajectory_id_that_is_neither_text_nor_a_number_names_file_and_line(self, tmp_path, value):
+        path = tmp_path / "traj.jsonl"
+        path.write_text(GOOD_TRAJ + '\n{"id": ' + value + ', "text": "<plan>S1: x</plan><answer>a</answer>"}\n')
+        with pytest.raises(ValueError, match=f"line 2 of {path}: 'id' must be text or a number"):
+            read_trajectories(path)
+
+    def test_numeric_trajectory_id_is_read_as_text(self, tmp_path):
+        path = tmp_path / "traj.jsonl"
+        path.write_text('{"id": 5, "text": "<plan>S1: x</plan><answer>a</answer>"}\n')
+        assert [t.question_id for t in read_trajectories(path)] == ["5"]
+
+
+@pytest.mark.parametrize("value, text", [("q", "q"), (5, "5"), (-2, "-2"), (7.5, "7.5")])
+def test_json_id_keeps_text_and_writes_numbers_as_text(value, text):
+    assert json_id(value, "id") == text
+
+
+@pytest.mark.parametrize("value", [None, True, False, ["q"], {"a": 1}], ids=["null", "true", "false", "list", "object"])
+def test_json_id_rejects_what_is_neither_text_nor_a_number(value):
+    with pytest.raises(ValueError, match="'id' must be text or a number"):
+        json_id(value, "id")
 
 
 def _clients(url):

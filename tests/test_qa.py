@@ -109,3 +109,21 @@ def test_a_value_that_is_not_text_names_file_and_line(tmp_path, field, record, v
                     '{"id": "q2", ' + record.replace("VALUE", value) + "}\n")
     with pytest.raises(QAError, match=f"line 2 of {path}: '{field}' must be text"):
         load_qa(path)
+
+
+@pytest.mark.parametrize("value", ["null", "true", "false", '["q"]', '{"a": 1}'],
+                         ids=["null", "true", "false", "list", "object"])
+def test_an_id_that_is_neither_text_nor_a_number_names_file_and_line(tmp_path, value):
+    # str() made the id "None", "True" or "['q']"
+    path = tmp_path / "qa.jsonl"
+    path.write_text('{"id": "q1", "question": "?", "topic_entities": [], "answers": [["a"]]}\n'
+                    '{"id": ' + value + ', "question": "?", "topic_entities": [], "answers": [["a"]]}\n')
+    with pytest.raises(QAError, match=f"line 2 of {path}: 'id' must be text or a number"):
+        load_qa(path)
+
+
+def test_a_numeric_id_is_read_as_text(tmp_path):
+    path = tmp_path / "qa.jsonl"
+    path.write_text('{"id": 7, "question": "?", "topic_entities": [], "answers": [["a"]]}\n'
+                    '{"id": 7.5, "question": "?", "topic_entities": [], "answers": [["a"]]}\n')
+    assert [ex.id for ex in load_qa(path)] == ["7", "7.5"]

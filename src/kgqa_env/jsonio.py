@@ -24,14 +24,26 @@ def read_jsonl(
     raise ``ValueError`` for their own per-record checks.
     """
     with Path(path).open(encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = convert(json.loads(line))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise error_cls(f"malformed {what} at line {lineno} of {path}: {exc}") from exc
-            yield rec
+        yield from convert_lines(enumerate(fh, start=1), path, error_cls, what, convert)
+
+
+def convert_lines(
+    numbered: Iterable[tuple[int, str]],
+    path: str | Path,
+    error_cls: type[Exception],
+    what: str,
+    convert: Callable[[Any], T],
+) -> Iterator[T]:
+    """:func:`read_jsonl` over lines already read, each with its line
+    number in ``path``."""
+    for lineno, line in numbered:
+        if not line.strip():
+            continue
+        try:
+            rec = convert(json.loads(line))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise error_cls(f"malformed {what} at line {lineno} of {path}: {exc}") from exc
+        yield rec
 
 
 def json_list(value: Any, field: str) -> list:

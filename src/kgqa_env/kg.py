@@ -174,7 +174,8 @@ class KnowledgeGraph:
         for e in entities:
             for key in filter(None, (normalize(e), normalize(display(e)), *map(normalize, aliases.get(e, ())))):
                 resolve.setdefault(key, e)
-        relation_tokens = tuple(frozenset(word_tokens(r)) for r in relation_names)
+        distinct: dict[str, str] = {}  # word_tokens makes a new string per occurrence; keep the first
+        relation_tokens = tuple(frozenset(distinct.setdefault(t, t) for t in word_tokens(r)) for r in relation_names)
         token_sets: dict[str, set[int]] = {}
         for relation, tokens in enumerate(relation_tokens):
             for token in tokens:

@@ -6,35 +6,53 @@ record when every key appears among the query's word terms; matches rank by
 key count (more specific first), then corpus order. Query terms are
 :func:`~kgqa_env.text.word_tokens`, so only a key that is one lowercase run
 of letters and digits can match; :meth:`OfflineWebTool.from_path` rejects
-any other.
+any other, and the constructor keeps a record that holds one but never
+files it.
 
-:class:`OfflineWebTool` files each record with keys under one of them, so a
-query checks only the records filed under its own terms: a match holds all
-its keys, so it is always among them, and no record is checked twice. The
-key is the record's rarest one (held by the fewest records, ties to the
-least), which keeps the buckets a query checks as small as the corpus
-allows: filed under a common word instead, every record holding it is
-checked by every query that holds it, and a query's cost depends on which
-common words it contains. A record without keys matches no query and is not
-filed. Each record keeps its keys as a sorted tuple without repeats: they
-are only iterated and counted, and a tuple of four strings takes a third of
-a frozenset's bytes. The keys and the snippets are two parallel lists, with
-no tuple per record, and a corpus loaded by :meth:`OfflineWebTool.from_path`
-holds one string object per distinct key, however many records hold it.
+:class:`OfflineWebTool` holds no object per record. It keeps two columns cut
+into chunks of :data:`CHUNK` records: each record's sorted distinct keys,
+space-joined, as one line of a chunk's text, and its snippet as UTF-8 bytes
+of a chunk's bytes. An ``array("i")`` per column holds each record's end
+offset in its chunk.
+
+Each record with keys is filed in one bucket of a hash table, under its
+rarest key: bucket ``hash(key) & mask`` of a power-of-two table with more
+than two buckets a record. Rarity is counted per bucket, as the key
+occurrences of the corpus that hash to it, which is a key's number of
+records unless other keys share its bucket; ties go to the least key. So
+the load keeps no map from each distinct key to its count, which for the
+10^5 records of the benchmark corpus took about 10 MB beside 13 MB of
+columns. A bucket is a chain of record positions: ``_index`` holds the last
+record filed in each bucket, ``_next[idx]`` the one filed before ``idx``,
+and -1 ends a chain. A query walks each distinct bucket of its terms once
+and checks each record there against the record's own keys. A match holds
+all its keys, so it is always in the bucket of the key it is filed under;
+a record filed under another key that shares the bucket costs one check
+and is never a hit; and no record is checked twice. The rarest key keeps
+the buckets as small as the corpus allows: filed under a common word
+instead, every record holding it would be checked by every query that
+holds it.
+
+The bucket table is process-local, because ``str`` hashes are salted per
+interpreter (``PYTHONHASHSEED``): a forked worker shares it with its
+parent, and nothing may persist it or pickle it. Pickling an
+:class:`OfflineWebTool` raises ``TypeError``; another process loads the
+corpus itself.
 """
 
 from __future__ import annotations
 
 import functools
 import gc
+import json
 from abc import ABC, abstractmethod
 from array import array
-from collections import Counter
-from itertools import chain
+from itertools import accumulate, chain, islice, repeat
+from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Collection, Iterable, Iterator, Sequence, TypeVar
 
-from .jsonio import json_list, json_text, post_json, read_jsonl
+from .jsonio import convert_lines, json_list, json_text, post_json
 from .text import word_tokens
 
 _F = TypeVar("_F", bound=Callable)
@@ -43,12 +61,12 @@ _F = TypeVar("_F", bound=Callable)
 def gc_paused(loader: _F) -> _F:
     """Run ``loader`` with the cyclic garbage collector paused.
 
-    A bulk loader allocates index containers by the hundred thousand, and
-    each batch of them starts a collection that walks everything allocated
-    so far: the corpus under construction and whatever the caller holds.
-    None of it is garbage, so those passes only cost time. The caller's
-    collector state is restored on return and on error; a caller that had
-    paused it keeps it paused.
+    JSON decoding makes a dict and a list for each corpus record, and a
+    chunk's worth of them alive at once starts a young collection every few
+    hundred records: about 200 collections for 10^5 records, 0.03 s of a
+    0.6 s load, none of them finding garbage. The caller's collector state
+    is restored on return and on error; a caller that had paused it keeps
+    it paused.
 
     After a load that succeeds with the collector running before it, every
     tracked object (the load's, and whatever the caller's young generations
@@ -73,6 +91,11 @@ def gc_paused(loader: _F) -> _F:
     return paused  # type: ignore[return-value]
 
 
+#: Records per chunk of a corpus column, and per read of a corpus file.
+CHUNK = 1024
+_SHIFT = CHUNK.bit_length() - 1
+
+
 class WebToolError(Exception):
     """Transport or protocol failure of a web tool backend."""
 
@@ -88,32 +111,74 @@ class WebTool(ABC):
         raise NotImplementedError
 
 
+class _Column:
+    """One text (``str`` or ``bytes``) per record, :data:`CHUNK` records to
+    a chunk: record ``idx``'s text ends at ``ends[idx]`` in chunk
+    ``idx // CHUNK`` and starts where the record before it in that chunk
+    ends."""
+
+    def __init__(self, empty: str | bytes):
+        self.chunks: list = []
+        self.ends = array("i")
+        self._empty = empty
+
+    def append(self, texts: Sequence) -> None:
+        """Add the next chunk: the texts of :data:`CHUNK` records, or of the
+        last records."""
+        self.chunks.append(self._empty.join(texts))
+        self.ends.extend(accumulate(map(len, texts)))
+
+    def __len__(self) -> int:
+        return len(self.ends)
+
+    def __getitem__(self, idx: int):
+        start = self.ends[idx - 1] if idx & (CHUNK - 1) else 0
+        return self.chunks[idx >> _SHIFT][start:self.ends[idx]]
+
+
 class OfflineWebTool(WebTool):
     def __init__(self, records: Iterable[tuple[Sequence[str], str]]):
-        # Column by column, with no tuple per record: _records[idx] is record
-        # idx's keys, _snippets[idx] its snippet.
-        self._records: list[tuple[str, ...]] = []
-        self._snippets: list[str] = []
-        add_keys, add_snippet = self._records.append, self._snippets.append
-        for keys, snippet in records:
-            add_keys(tuple(sorted(set(keys))))
-            add_snippet(snippet)
-        counts = Counter(chain.from_iterable(self._records))
-        # Each bucket is a chain of record positions: _index maps a key to
-        # the last record filed under it, _next[idx] to the one filed before
-        # idx (-1 ends the chain). A list per bucket would add an object the
-        # garbage collector tracks for nearly every record; loaded next to a
-        # large graph, that cost one more full collection. An array holds
-        # the positions as machine ints, not one int object each.
-        index: dict[str, int] = {}
-        nxt = array("i", [-1]) * len(self._records)
-        held_by = counts.__getitem__
-        for idx, keys in enumerate(self._records):
-            if keys:
-                key = min(keys, key=held_by)
-                nxt[idx] = index.get(key, -1)
-                index[key] = idx
-        self._index, self._next = index, nxt
+        records = iter(records)
+        self._build(map(_matchable, iter(lambda: list(islice(records, CHUNK)), [])))
+
+    def _build(self, chunks: Iterable[tuple[Sequence[Sequence[str]], Sequence[str]]]) -> None:
+        """Fill the columns from the (keys, snippets) of :data:`CHUNK`
+        records at a time (fewer in the last), then file the records (see
+        the module docstring)."""
+        # _records[idx] is record idx's keys, _snippets[idx] its snippet
+        self._records, self._snippets = _Column(""), _Column(b"")
+        # per chunk: the low 32 bits of its records' key hashes in key order,
+        # and each record's key count
+        filing = []
+        for keys, snippets in chunks:
+            keys = list(map(sorted, map(set, keys)))  # set() hashes each key, and a str keeps its hash
+            hashes = array("I", map(0xFFFFFFFF.__and__, map(hash, chain.from_iterable(keys))))
+            filing.append((hashes, array("i", map(len, keys))))
+            self._records.append(list(map(str.__add__, map(" ".join, keys), repeat("\n"))))
+            self._snippets.append(list(map(str.encode, snippets, repeat("utf-8"), repeat("surrogatepass"))))
+        n = len(self._records)
+        heads = array("i", [-1]) * (2 << n.bit_length())  # more than two buckets a record
+        mask = len(heads) - 1
+        held = [0] * len(heads)  # bucket -> key occurrences that hash to it
+        for hashes, _ in filing:
+            for key_hash in hashes:
+                held[key_hash & mask] += 1
+        nxt = array("i", [-1]) * n
+        idx = 0
+        for hashes, counts in filing:
+            buckets, end = list(map(mask.__and__, hashes)), 0
+            for count in counts:
+                if count:  # keys are sorted, and min takes the first of equals
+                    start, end = end, end + count
+                    bucket = min(buckets[start:end], key=held.__getitem__)
+                    nxt[idx] = heads[bucket]
+                    heads[bucket] = idx
+                idx += 1
+        self._index, self._next = heads, nxt
+
+    def __reduce__(self):
+        # the bucket table holds this process's string hashes: see the module docstring
+        raise TypeError("an OfflineWebTool cannot be pickled: load its corpus in each process")
 
     @classmethod
     @gc_paused
@@ -121,48 +186,89 @@ class OfflineWebTool(WebTool):
         """Load a JSON-lines corpus. A malformed record, a key or snippet
         that is not a string, or a key that no query can match, raises
         :class:`WebToolError` naming the file and line."""
-        return cls(_read_corpus(path))
+        tool = cls.__new__(cls)
+        tool._build(_read_corpus(path))
+        return tool
 
     def search(self, query: str, k: int) -> list[str]:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         terms = set(word_tokens(query))
+        heads, nxt, records = self._index, self._next, self._records
+        mask = len(heads) - 1
         hits = []
-        for term in terms:
-            idx = self._index.get(term, -1)
+        for bucket in {hash(term) & mask for term in terms}:
+            idx = heads[bucket]
             while idx >= 0:
-                keys = self._records[idx]
+                keys = records[idx].split()
                 if terms.issuperset(keys):
                     hits.append((-len(keys), idx))
-                idx = self._next[idx]
+                idx = nxt[idx]
         hits.sort()
-        return [self._snippets[idx] for _, idx in hits[:k]]
+        return [self._snippets[idx].decode("utf-8", "surrogatepass") for _, idx in hits[:k]]
 
 
-def _read_corpus(path: str | Path) -> Iterator[tuple[list[str], str]]:
-    """Yield each corpus line's (keys, snippet). Equal keys on different
-    lines are yielded as one string object (JSON decoding makes a new one
-    for each occurrence), and each distinct key is checked once, where it
-    first appears. The map that shares them lives only while the file is
-    read, so it is freed before :class:`OfflineWebTool` counts the keys."""
-    shared: dict[str, str] = {}
+def _words_only(keys: Collection[str]) -> bool:
+    """Whether every key is one word token, ``word_tokens(key) == [key]``,
+    checked by a few calls over all the keys at once."""
+    try:
+        joined = " ".join(keys)
+    except TypeError:  # a key that is not a string
+        return False
+    # One space per join: no key holds a space. Then each key is nonempty,
+    # letters and digits only, and lowercase (str.lower maps a character by
+    # its neighbours only for a capital sigma, which it always changes).
+    return not keys or (joined.count(" ") == len(keys) - 1 and "" not in keys
+                        and joined.replace(" ", "").isalnum() and joined == joined.lower())
 
-    def record(rec: dict) -> tuple[list[str], str]:
-        keys = []
-        for key in json_list(rec["keys"], "keys"):
+
+def _matchable(records: list[tuple[Sequence[str], str]]) -> tuple[list[Sequence[str]], list[str]]:
+    """(keys, snippets) of the records, with no keys for a record that holds
+    a key no query can match, so that it is never filed."""
+    keys, snippets = list(map(itemgetter(0), records)), list(map(itemgetter(1), records))
+    if not _words_only(list(chain.from_iterable(keys))):
+        keys = [k if _words_only(k) else () for k in keys]
+    return keys, snippets
+
+
+#: json.loads of a text's first value, without its checks for leading and
+#: trailing whitespace, which _read_corpus makes for a whole chunk at once.
+_scan = json.JSONDecoder().scan_once
+
+
+def _read_corpus(path: str | Path) -> Iterator[tuple[list[list[str]], list[str]]]:
+    """Yield the corpus's (keys, snippets), :data:`CHUNK` records at a time
+    (fewer in the last). A chunk is decoded and checked by calls over the
+    whole chunk; one that fails a check is read again line by line, which
+    names its first bad line."""
+    with Path(path).open(encoding="utf-8-sig") as fh:
+        numbered = filter(lambda item: item[1].strip(), enumerate(fh, start=1))
+        for chunk in iter(lambda: list(islice(numbered, CHUNK)), []):
+            lines = list(map(itemgetter(1), chunk))
             try:
-                seen = shared.get(key)
-            except TypeError:  # a list or an object, which json_text rejects
-                seen = None
-            if seen is None:
-                # word_tokens(key) == [key], at a fraction of the cost
-                if not (json_text(key, "keys").isalnum() and key == key.lower()):
-                    raise ValueError(f"key {key!r} matches no query: a key must be one lowercase word token")
-                shared[key] = seen = key
-            keys.append(seen)
-        return keys, json_text(rec["snippet"], "snippet")
+                # _scan raises StopIteration at a line that does not start with
+                # a value, which ends the map early: the length check sees it.
+                decoded = list(map(_scan, lines, repeat(0)))
+                records = list(map(itemgetter(0), decoded))
+                keys = list(map(itemgetter("keys"), records))
+                snippets = list(map(itemgetter("snippet"), records))
+                ends = list(map(len, map(str.rstrip, lines, repeat(" \t\n\r"))))  # JSON's whitespace
+                checked = (len(decoded) == len(lines) and list(map(itemgetter(1), decoded)) == ends
+                           and {*map(type, keys)} <= {list} and {*map(type, snippets)} <= {str}
+                           and _words_only(list(chain.from_iterable(keys))))
+            except (ValueError, KeyError, TypeError):
+                checked = False
+            if not checked:
+                keys, snippets = _matchable(list(convert_lines(chunk, path, WebToolError, "corpus record", _record)))
+            yield keys, snippets
 
-    yield from read_jsonl(path, WebToolError, "corpus record", record)
+
+def _record(rec: dict) -> tuple[list[str], str]:
+    keys = json_list(rec["keys"], "keys")
+    for key in keys:
+        if not _words_only([json_text(key, "keys")]):
+            raise ValueError(f"key {key!r} matches no query: a key must be one lowercase word token")
+    return keys, json_text(rec["snippet"], "snippet")
 
 
 class RemoteWebTool(WebTool):

@@ -276,6 +276,15 @@ class TestRelationSearch:
     def test_single_relation_entity(self, tk1):
         assert tk1.relation_search("Analyze_That", "anything at all") == ["written_by"]
 
+    def test_equal_tokens_of_two_relations_are_one_string(self):
+        # word_tokens makes a new string for each occurrence of a token
+        kg = KnowledgeGraph.from_triples([("a", "film.release_date", "b"), ("c", "music.release_date", "d")])
+        film, music = (kg._relation_tokens[kg._relation_names.index(r)]
+                       for r in ("film.release_date", "music.release_date"))
+        shared = [next(t for t in tokens if t == "release") for tokens in (film, music)]
+        assert shared[0] is shared[1]
+        assert next(t for t in kg._token_relations if t == "release") is shared[0]
+
     def test_unknown_entity_gives_empty_list(self, tk1):
         assert tk1.relation_search("Nobody", "hypothesis") == []
 
@@ -841,19 +850,21 @@ def test_loading_leaves_the_collector_next_to_nothing_to_track(tmp_path):
 
 class TestGcPause:
     """The web corpus loader runs with the cyclic collector paused and hands
-    the caller's collector state back however it ends. The graph loaders run
-    with the collector as the caller left it: they leave it next to nothing
-    to walk (see the test above), so a pause would save no time."""
+    the caller's collector state back however it ends: JSON decoding makes a
+    dict and a list per record, which start young collections all through
+    the load. The graph loaders run with the collector as the caller left
+    it: they leave it next to nothing to walk (see the test above), so a
+    pause would save no time."""
 
     @pytest.fixture
     def seen(self, monkeypatch):
         """Collector state observed inside each loader, via the builders they
         call: ``from_triples`` for ``load_triples``, ``_without_edges`` for
-        ``sample_ikg`` and ``read_jsonl`` for ``OfflineWebTool.from_path``."""
+        ``sample_ikg`` and ``_read_corpus`` for ``OfflineWebTool.from_path``."""
         states = []
         from_triples = KnowledgeGraph.from_triples.__func__
         without_edges = kgqa_kg._without_edges
-        read_jsonl = kgqa_web.read_jsonl
+        read_corpus = kgqa_web._read_corpus
 
         def spy_graph(cls, *args, **kwargs):
             states.append(gc.isenabled())
@@ -865,11 +876,11 @@ class TestGcPause:
 
         def spy_corpus(*args, **kwargs):
             states.append(gc.isenabled())
-            return read_jsonl(*args, **kwargs)
+            return read_corpus(*args, **kwargs)
 
         monkeypatch.setattr(KnowledgeGraph, "from_triples", classmethod(spy_graph))
         monkeypatch.setattr(kgqa_kg, "_without_edges", spy_derived)
-        monkeypatch.setattr(kgqa_web, "read_jsonl", spy_corpus)
+        monkeypatch.setattr(kgqa_web, "_read_corpus", spy_corpus)
         return states
 
     def _load_all(self, tmp_path):

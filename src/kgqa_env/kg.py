@@ -15,7 +15,6 @@ import math
 import random
 from array import array
 from bisect import bisect_left
-from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, chain, repeat
@@ -24,7 +23,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .jsonio import json_id, json_list, json_text, read_jsonl, write_jsonl
-from .text import _STRIP_CHARS, levenshtein, normalize, token_jaccard, word_tokens
+from .text import _STRIP_CHARS, levenshtein, normalize, word_tokens
 
 if TYPE_CHECKING:  # pragma: no cover
     from .qa import QAExample
@@ -239,9 +238,10 @@ class KnowledgeGraph:
     def relation_search(self, entity: str, hypothesis: str) -> list[str]:
         """The :data:`TOP_K_RELATIONS` relations attached to ``entity`` that
         best match the hypothesis, ranked by word-token Jaccard similarity
-        to it; ties break on smaller edit distance to the hypothesis, then
-        relation name (id order), so the ranking is fully deterministic.
-        Unknown entities yield an empty list.
+        to it (0 when either side has no word token); ties break on smaller
+        edit distance to the hypothesis, then relation name (id order), so
+        the ranking is fully deterministic. Unknown entities yield an empty
+        list.
 
         Only relations whose Jaccard is at least the last place's are kept
         (each one below has a full budget ahead of it), and only kept ones
@@ -249,6 +249,10 @@ class KnowledgeGraph:
         :func:`levenshtein` call. A head over the budget scores only the
         relations the token index finds sharing a word with the hypothesis
         if they fill the budget: every other one has Jaccard 0, below the cut.
+        Otherwise the whole head is ranked, and every relation that shares
+        no word with the hypothesis ties at Jaccard 0 and takes an edit
+        distance: this is the case for a hypothesis with no word token, and
+        for one whose words reach fewer than the budget's relations.
         """
         attached = self._relations_of(entity)
         if not attached:
@@ -261,15 +265,25 @@ class KnowledgeGraph:
             if len(sharing) >= TOP_K_RELATIONS:
                 candidates = sharing
         tokens, names = self._relation_tokens, self._relation_names
-        by_jaccard = sorted((-token_jaccard(hyp_tokens, tokens[rel]), rel) for rel in candidates)
+        size = len(hyp_tokens)
+        scored = []
+        for rel in candidates:
+            common = len(hyp_tokens.intersection(tokens[rel]))
+            # Jaccard; the union is empty only when neither side has a word token
+            scored.append((-common / (size + len(tokens[rel]) - common or 1), rel))
+        by_jaccard = sorted(scored)
         if len(by_jaccard) > TOP_K_RELATIONS:
             cut = by_jaccard[TOP_K_RELATIONS - 1][0]
             by_jaccard = [pair for pair in by_jaccard if pair[0] <= cut]
-        shared = Counter(score for score, _ in by_jaccard)
-        tied = [rel for score, rel in by_jaccard if shared[score] > 1]
-        distance = dict(zip(tied, levenshtein(hypothesis.lower(), [names[rel].lower() for rel in tied]))) if tied else {}
-        ranked = sorted(by_jaccard, key=lambda pair: (pair[0], distance.get(pair[1], 0), pair[1]))
-        return [names[rel] for _, rel in ranked[:TOP_K_RELATIONS]]
+        scores = [score for score, _ in by_jaccard]
+        repeated = {score for score, following in zip(scores, scores[1:]) if score == following}
+        if not repeated:
+            return [names[rel] for _, rel in by_jaccard[:TOP_K_RELATIONS]]
+        tied = [pair for pair in by_jaccard if pair[0] in repeated]
+        distances = levenshtein(hypothesis.lower(), [names[rel].lower() for _, rel in tied])
+        ranked = sorted([(score, 0, rel) for score, rel in by_jaccard if score not in repeated]
+                        + [(score, distance, rel) for (score, rel), distance in zip(tied, distances)])
+        return [names[rel] for _, _, rel in ranked[:TOP_K_RELATIONS]]
 
     def neighbor_search(self, entity: str, relation: str) -> set[str] | str:
         """Tail entities of ``(entity, relation)`` rendered in display form,

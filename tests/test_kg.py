@@ -27,7 +27,7 @@ from kgqa_env.kg import (
     write_triples,
 )
 from kgqa_env.qa import QAExample
-from kgqa_env.text import levenshtein, normalize
+from kgqa_env.text import levenshtein, normalize, word_tokens
 from kgqa_env.web import OfflineWebTool
 
 _TK1 = Path(__file__).parent / "data" / "tk1.tsv"
@@ -336,17 +336,35 @@ class TestRelationSearch:
             assert kg.relation_search("e", "used in country") == _rank_oracle(kg, "e", "used in country")
         assert calls == []
 
-    @pytest.mark.parametrize("hyp", ["", "?!", " . __"])
+    @pytest.mark.parametrize("hyp", ["", "?!", " . __", "based on"])
     def test_tokenless_hypothesis_ties_a_whole_hub_in_one_call(self, hyp):
-        # every relation scores Jaccard 0, so all 300 tie at the 15th place
+        # A tokenless hypothesis scores every relation Jaccard 0, so all 800
+        # tie at the 15th place; "based on" reaches only two relations, fewer
+        # than the budget, so the hub is ranked whole and every relation that
+        # shares no word with it ties at Jaccard 0.
         rng = random.Random(3)
-        rels = set()
-        while len(rels) < 300:
+        rels = {"based_on", "film.based"}
+        while len(rels) < 800:
             rels.add(rng.choice("_.").join(rng.choices(_HUB_WORDS, k=rng.randint(1, 3))))
         kg = KnowledgeGraph.from_triples(Triple("hub", r, "t") for r in rels)
         with _levenshtein_calls() as calls:
             assert kg.relation_search("hub", hyp) == _rank_oracle(kg, "hub", hyp)[:TOP_K_RELATIONS]
-        assert len(calls) == 1 and sorted(calls[0]) == sorted(r.lower() for r in rels)
+        words = set(word_tokens(hyp))
+        jaccard_0 = [r.lower() for r in rels if not words.intersection(word_tokens(r))]
+        assert len(calls) == 1 and sorted(calls[0]) == sorted(jaccard_0)
+
+    def test_jaccard_is_shared_words_over_all_words(self):
+        # "used in country" shares 2 of its 3 words with country_used and
+        # with used_in (Jaccard 2/3 each, so the edit distance orders them),
+        # 3 of 4 with in_country_used_by, 1 of 3 with country; "anything"
+        # shares none with any relation, a tokenless one included (Jaccard 0).
+        rels = ["country", "country_used", "used_in", "__", "in_country_used_by"]
+        kg = KnowledgeGraph.from_triples(Triple("e", r, "t") for r in rels)
+        assert kg.relation_search("e", "used in country") == \
+            ["in_country_used_by", "used_in", "country_used", "country", "__"]
+        assert kg.relation_search("e", "anything") == ["used_in", "__", "country", "country_used", "in_country_used_by"]
+        for hyp in ("used in country", "anything"):
+            assert kg.relation_search("e", hyp) == _rank_oracle(kg, "e", hyp)
 
     @settings(max_examples=300, deadline=None)
     @given(case=_hubs_around_k())

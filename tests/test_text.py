@@ -5,13 +5,14 @@ import sys
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kgqa_env.text import _STRIP_CHARS, levenshtein, normalize, token_jaccard, word_tokens
+from kgqa_env.text import _STRIP_CHARS, levenshtein, normalize, word_tokens
 from test_kg import _edit_distance_oracle
 
 # A small alphabet makes near matches common; the non-ASCII letters cover
-# characters outside Latin-1 and outside the basic multilingual plane. The
-# long strategy crosses the 64-bit word boundary of a fixed-width version.
-_ALPHABET = "ab_. é漢😀"
+# characters outside Latin-1 and outside the basic multilingual plane, and
+# NUL is the character that separates the packed strings. The long strategy
+# crosses the 64-bit word boundary of a fixed-width version.
+_ALPHABET = "ab_. é漢😀\0"
 _STRINGS = st.text(_ALPHABET, max_size=12) | st.text(_ALPHABET, min_size=60, max_size=140)
 # 0-20 strings drawn from a pool of at most 8, so duplicates are common
 _STRING_LISTS = st.lists(_STRINGS, min_size=1, max_size=8).flatmap(
@@ -69,15 +70,11 @@ def test_word_tokens_keep_unicode_letters_and_digits():
     assert word_tokens("__ . —") == []
 
 
-def test_token_jaccard():
-    assert token_jaccard(set(word_tokens("used in country")), set(word_tokens("country_used"))) == 2 / 3
-    assert token_jaccard(set(word_tokens("anything")), set(word_tokens(""))) == 0.0
-
-
 def test_levenshtein_known_values():
     assert levenshtein("kitten", ["sitting", "kitten", "", "sitting"]) == [3, 0, 6, 3]
     assert levenshtein("", ["abc", ""]) == [3, 0]
     assert levenshtein("abc", []) == []
+    assert levenshtein("a\0b", ["a\0b", "ab", "\0", "", "\0\0"]) == [0, 1, 2, 3, 2]
 
 
 @settings(max_examples=300, deadline=None)
@@ -86,6 +83,10 @@ def test_levenshtein_known_values():
 @example("", ["", "漢字"])
 @example("a" * 70, ["a" * 65 + "b", "", "a" * 70, "ab" * 65])
 @example("ab" * 65, ["ba" * 64, "b", "ba" * 64])
+# several hundred segments, so a wrong offset in the read-out shows far from
+# the first; one packed text of ASCII only, one that holds other characters
+@example("ba_.\0", ["", "ab", "a_b.", "b" * 70, "a\0", "\0"] * 70)
+@example("é漢😀 a", ["漢", "😀a", "", "ab é", "a" * 65 + "😀", "\0é"] * 60)
 def test_levenshtein_matches_full_matrix_dp(a, others):
     # one segment per string; long strings cross the 64-bit word boundary
     assert levenshtein(a, others) == [_edit_distance_oracle(a, b) for b in others]

@@ -10,12 +10,11 @@ not), and a plan quality judgment.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .jsonio import post_json
-from .kg import COVERAGE_CKG, COVERAGE_IKG, display
 from .plan import Ans, PlanError, expr_dependencies, parse_plan
-from .qa import QAExample, build_prompt
+from .qa import COVERAGE_CKG, COVERAGE_IKG, QAExample, build_prompt, display
 from .rewards import _concat_info, _covers, _f1, _gold_sets
 from .text import normalize
 from .trajectory import (
@@ -43,8 +42,7 @@ class JudgeError(RuntimeError):
     judge never silently keeps a trajectory."""
 
 
-@dataclass(frozen=True)
-class FilterVerdict:
+class FilterVerdict(NamedTuple):
     keep: bool
     failed_checks: tuple[str, ...]
 

@@ -77,10 +77,18 @@ def json_id(value: Any, field: str) -> str:
 
 
 def write_jsonl(records: Iterable[Any], path: str | Path) -> None:
-    """Write one compact JSON document per line (UTF-8)."""
+    """Write one compact JSON document per line (UTF-8).
+
+    A record holding a lone surrogate (text UTF-8 cannot encode, which a
+    corpus snippet may carry into a trajectory) is written with every
+    non-ASCII character as a JSON ``\\u`` escape, so :func:`read_jsonl`
+    gives the same text back; every other record is written as it is."""
     with Path(path).open("w", encoding="utf-8") as fh:
         for rec in records:
-            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+            try:
+                fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+            except UnicodeEncodeError:  # the text writer encodes a line whole, so nothing of it was written
+                fh.write(json.dumps(rec) + "\n")
 
 
 def post_json(url: str, payload: Any, field: str, timeout: float, error_cls: type[Exception]) -> Any:

@@ -6,6 +6,10 @@ ids, an id being a position in a sorted name table, so id order is name
 order. It is immutable and safe to share across concurrent rollouts.
 :func:`sample_ikg` returns a graph that shares every column, table and map
 of its base by identity, plus an overlay of what its removals change.
+
+The question-side names the graph works with (:class:`Triple`,
+:data:`SENTINEL`, :func:`display`, :class:`KGError`, the coverage labels
+and the removal log) are defined in :mod:`kgqa_env.qa` and re-exported here.
 """
 
 from __future__ import annotations
@@ -16,38 +20,27 @@ import random
 from array import array
 from bisect import bisect_left
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
 from itertools import accumulate, chain, repeat
 from operator import add, mul
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .jsonio import json_id, json_list, json_text, read_jsonl, write_jsonl
+from .jsonio import json_id, json_list, json_text, read_jsonl
+from .qa import (  # noqa: F401 -- COVERAGE_*, read_removal_log and write_removal_log are re-exports
+    COVERAGE_CKG,
+    COVERAGE_IKG,
+    SENTINEL,
+    KGError,
+    QAExample,
+    RemovalLog,
+    Triple,
+    display,
+    read_removal_log,
+    write_removal_log,
+)
 from .text import _STRIP_CHARS, levenshtein, normalize, word_tokens
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .qa import QAExample
-
-SENTINEL = "No information in KG, please use web tool."
 _SENTINEL_FORMS = frozenset({normalize(SENTINEL)})
-
-COVERAGE_CKG = "CKG"
-COVERAGE_IKG = "IKG"
-
-
-class KGError(Exception):
-    """Raised for malformed graph/alias files and invalid sampling input."""
-
-
-class Triple(NamedTuple):
-    head: str
-    relation: str
-    tail: str
-
-
-def display(entity: str) -> str:
-    """Human-readable surface form of an entity identifier."""
-    return entity.replace("_", " ")
 
 
 def is_sentinel(text: str) -> bool:
@@ -117,27 +110,34 @@ def _encode(triples: Iterable[tuple[str, str, str]], extra: Iterable[str]) -> tu
     return entities, relation_names, first_pair, pair_relation, first_tail, tail
 
 
-@dataclass(frozen=True, eq=False)  # equal as mappings are, by their items
 class _IndexView(Mapping):
-    """A read-only mapping computed from a graph's columns on each read."""
+    """A read-only mapping computed from a graph's columns on each read;
+    equal to another mapping with the same items."""
 
-    lookup: Callable  # key -> its value, empty for an absent key
-    present: Callable[[], Iterator]  # () -> the keys present, in order
+    __slots__ = ("_lookup", "_present")
+
+    def __init__(self, lookup: Callable, present: Callable[[], Iterator]) -> None:
+        self._lookup = lookup  # key -> its value, empty for an absent key
+        self._present = present  # () -> the keys present, in order
 
     def __getitem__(self, key):
-        value = self.lookup(key)
+        value = self._lookup(key)
         if not value:
             raise KeyError(key)
         return value
 
     def __iter__(self) -> Iterator:
-        return self.present()
+        return self._present()
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.present())
+        return sum(1 for _ in self._present())
 
 
-@dataclass(frozen=True)
+#: The stored fields of a :class:`KnowledgeGraph`, in constructor order.
+_GRAPH_FIELDS = ("entities", "_relation_names", "_first_pair", "_pair_relation", "_first_tail", "_tail",
+                 "aliases", "_resolve", "_relation_tokens", "_token_relations", "_kept_tails", "_kept_relations")
+
+
 class KnowledgeGraph:
     """Immutable triple store with an entity alias map. Stored: the sorted
     entity table (heads, tails, alias-file entities) and relation table; the
@@ -149,7 +149,11 @@ class KnowledgeGraph:
     :func:`sample_ikg` shares all of it with its base, plus an overlay of
     the surviving tails of each pair and the surviving relations of each
     head its removals touch. Its tables and ranking maps may name relations
-    no head keeps; a ranking draws only on the head's own relations."""
+    no head keeps; a ranking draws only on the head's own relations.
+
+    Its fields cannot be assigned; two graphs are equal when every field
+    is, and :meth:`_replace` copies one with some fields changed.
+    """
 
     entities: tuple[str, ...]
     _relation_names: tuple[str, ...]
@@ -161,8 +165,38 @@ class KnowledgeGraph:
     _resolve: dict[str, str]
     _relation_tokens: tuple[frozenset[str], ...]  # relation id -> its word tokens
     _token_relations: dict[str, frozenset[int]]  # word token -> ids of the relations holding it
-    _kept_tails: dict[int, tuple[int, ...]] = field(default_factory=dict)  # pair -> its surviving tails
-    _kept_relations: dict[int, array] = field(default_factory=dict)  # head id -> its surviving relations
+    _kept_tails: dict[int, tuple[int, ...]]  # pair -> its surviving tails
+    _kept_relations: dict[int, array]  # head id -> its surviving relations
+
+    def __init__(self, entities, _relation_names, _first_pair, _pair_relation, _first_tail, _tail, aliases,
+                 _resolve, _relation_tokens, _token_relations, _kept_tails, _kept_relations) -> None:
+        # written into the instance dictionary past __setattr__, as functools.cached_property writes there
+        vars(self).update(zip(_GRAPH_FIELDS, (
+            entities, _relation_names, _first_pair, _pair_relation, _first_tail, _tail, aliases, _resolve,
+            _relation_tokens, _token_relations, _kept_tails, _kept_relations)))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable KnowledgeGraph")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an immutable KnowledgeGraph")
+
+    def _asdict(self) -> dict:
+        """Field name -> value, in constructor order, as ``NamedTuple._asdict`` gives them."""
+        fields = vars(self)
+        return {name: fields[name] for name in _GRAPH_FIELDS}
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._asdict() == other._asdict()
+
+    __hash__ = None  # its dicts and arrays are unhashable
+
+    def _replace(self, **changes) -> KnowledgeGraph:
+        """A new graph with ``changes`` to the named fields and every other
+        field shared, as ``NamedTuple._replace`` makes one."""
+        return KnowledgeGraph(**(self._asdict() | changes))
 
     @classmethod
     def from_triples(cls, triples: Iterable[tuple[str, str, str]],
@@ -180,7 +214,7 @@ class KnowledgeGraph:
             for token in tokens:
                 token_sets.setdefault(token, set()).add(relation)
         token_relations = {t: frozenset(rs) for t, rs in token_sets.items()}
-        return cls(entities, relation_names, *columns, aliases, resolve, relation_tokens, token_relations)
+        return cls(entities, relation_names, *columns, aliases, resolve, relation_tokens, token_relations, {}, {})
 
     def _tails_at(self, pair: int) -> Sequence[int]:
         kept = self._kept_tails.get(pair)
@@ -345,24 +379,7 @@ def load_aliases(path: str | Path) -> dict[str, list[str]]:
     return alias_map
 
 
-def _coverage(removed: Sequence[Triple]) -> str:
-    return COVERAGE_IKG if removed else COVERAGE_CKG
-
-
-@dataclass(frozen=True)
-class RemovalLog:
-    """Per-question record of removed critical triples. Only the removals
-    are stored; :attr:`coverage` derives each question's label from them."""
-
-    entries: dict[str, list[Triple]]
-
-    @property
-    def coverage(self) -> dict[str, str]:
-        """Question id -> IKG if anything was removed for it, else CKG."""
-        return {qid: _coverage(removed) for qid, removed in self.entries.items()}
-
-
-def sample_ikg(kg: KnowledgeGraph, qa_set: Sequence["QAExample"], fraction: float,
+def sample_ikg(kg: KnowledgeGraph, qa_set: Sequence[QAExample], fraction: float,
                seed: int) -> tuple[KnowledgeGraph, RemovalLog]:
     """Derive an incomplete graph by removing, independently per question,
     the ceiling of ``fraction`` times its critical triples, plus every other
@@ -409,37 +426,7 @@ def _without_edges(kg: KnowledgeGraph, purged_tails: dict[str, set[str]]) -> Kno
                 emptied = emptied or not left
         if emptied:
             kept_relations[entity] = array("i", (kg._pair_relation[p] for p in pairs if kept_tails.get(p, True)))
-    return replace(kg, _kept_tails=kept_tails, _kept_relations=kept_relations)
-
-
-def write_removal_log(log: RemovalLog, path: str | Path) -> None:
-    """Write a removal log as JSON-lines {"id", "removed", "coverage"}."""
-    write_jsonl(({"id": qid, "removed": [list(t) for t in removed], "coverage": _coverage(removed)}
-                 for qid, removed in log.entries.items()), path)
-
-
-def read_removal_log(path: str | Path) -> RemovalLog:
-    """Read a JSON-lines removal log. Ids are read as text (a number as its
-    digits), as in the QA and trajectory files; an id may appear once, each
-    removed triple holds three strings, and a coverage label must agree with
-    the record's removals, else :class:`KGError` names the file and line."""
-    seen: set[str] = set()
-
-    def record(rec: dict) -> tuple[str, list[Triple]]:
-        qid = json_id(rec["id"], "id")
-        if qid in seen:
-            raise ValueError(f"duplicate question id {qid!r}")
-        seen.add(qid)
-        label = rec["coverage"]
-        if label not in (COVERAGE_CKG, COVERAGE_IKG):
-            raise ValueError(f"unknown coverage label {label!r}")
-        removed = [Triple(*(json_text(x, "removed") for x in json_list(t, "removed")))
-                   for t in json_list(rec["removed"], "removed")]
-        if label != _coverage(removed):
-            raise ValueError(f"coverage label {label!r} disagrees with {len(removed)} removed triples")
-        return qid, removed
-
-    return RemovalLog(dict(read_jsonl(path, KGError, "removal-log record", record)))
+    return kg._replace(_kept_tails=kept_tails, _kept_relations=kept_relations)
 
 
 def write_triples(kg: KnowledgeGraph, path: str | Path) -> None:

@@ -19,8 +19,7 @@ the sub-questions run in as ``Plan.order``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Mapping, Set
+from typing import Mapping, NamedTuple, Set
 
 ID_RE = re.compile(r"^[Ss]\d+$")
 _LINE_RE = re.compile(r"^\s*([Ss]\d+)\s*:\s*(.+?)\s*$")
@@ -33,8 +32,7 @@ class PlanError(ValueError):
     expression evaluation."""
 
 
-@dataclass(frozen=True)
-class Ans:
+class Ans(NamedTuple):
     """Retrieval expression: look up entities of ``target_type`` reached from
     ``head`` via a relation matching ``relation_hypothesis``. Resolved by
     rollout tool calls, never by :func:`eval_expr`."""
@@ -49,8 +47,7 @@ class Ans:
         return bool(ID_RE.match(self.head))
 
 
-@dataclass(frozen=True)
-class SetOp:
+class SetOp(NamedTuple):
     """Set algebra over bound sub-answers. ``op`` is "inter", "union",
     "negation" (the first reference minus the union of the rest) or "ref"
     (the one reference, unchanged)."""
@@ -62,14 +59,12 @@ class SetOp:
 Expr = Ans | SetOp
 
 
-@dataclass(frozen=True)
-class SubQuestion:
+class SubQuestion(NamedTuple):
     id: str
     expr: Expr
 
 
-@dataclass(frozen=True)
-class Plan:
+class Plan(NamedTuple):
     """Sub-questions in declaration order (the last one is the answer) and
     ``order``, their ids in execution order: dependencies first, and among
     ready sub-questions declaration order wins, so it is deterministic."""

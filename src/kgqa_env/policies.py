@@ -6,9 +6,9 @@ from __future__ import annotations
 from typing import Generator
 
 from .jsonio import post_json
-from .kg import display, is_sentinel
+from .kg import is_sentinel
 from .plan import Ans, eval_expr, parse_plan
-from .qa import QAExample
+from .qa import QAExample, display
 from .rollout import FORCE_ANSWER_DIRECTIVE, STOP_TAGS, Policy, RolloutError
 from .text import normalize
 from .trajectory import (

@@ -1,14 +1,26 @@
 """Question/answer records, their JSON-lines file format, and the prompt
-that shows a question to the policy."""
+that shows a question to the policy.
+
+Also the vocabulary that the graph module shares with the commands that
+load no graph: :class:`Triple`, :func:`display`, :class:`KGError`, the
+no-information :data:`SENTINEL`, the CKG/IKG coverage labels, and the
+removal log that :func:`kgqa_env.kg.sample_ikg` writes and ``score`` and
+``filter-sft`` read. ``kgqa_env.kg`` re-exports each of these names, so the
+graph's callers find them there too; this module imports no graph.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple, Sequence
 
-from .jsonio import json_id, json_list, json_text, read_jsonl
-from .kg import SENTINEL, Triple
+from .jsonio import json_id, json_list, json_text, read_jsonl, write_jsonl
 from .text import _STRIP_CHARS
+
+SENTINEL = "No information in KG, please use web tool."
+
+COVERAGE_CKG = "CKG"
+COVERAGE_IKG = "IKG"
 
 # Tag names are spelled without angle brackets here so the full conversation
 # (prompt plus generated text) stays parseable by the trajectory grammar.
@@ -31,8 +43,23 @@ class QAError(Exception):
     """Raised for malformed QA files."""
 
 
-@dataclass(frozen=True)
-class QAExample:
+class KGError(Exception):
+    """Raised for malformed graph, alias and removal-log files and invalid
+    sampling input."""
+
+
+class Triple(NamedTuple):
+    head: str
+    relation: str
+    tail: str
+
+
+def display(entity: str) -> str:
+    """Human-readable surface form of an entity identifier."""
+    return entity.replace("_", " ")
+
+
+class QAExample(NamedTuple):
     """One question with topic entities, gold answers (a list of alias sets,
     one per distinct gold answer) and the critical triples of its gold
     reasoning path. ``plan`` is an optional recorded decomposition used by
@@ -93,3 +120,49 @@ def build_prompt(example: QAExample) -> str:
     the prompt field of SFT emissions)."""
     topics = ", ".join(example.topic_entities) or "none"
     return PROMPT_TEMPLATE.format(sentinel=SENTINEL, question=example.question, topics=topics)
+
+
+def _coverage(removed: Sequence[Triple]) -> str:
+    return COVERAGE_IKG if removed else COVERAGE_CKG
+
+
+class RemovalLog(NamedTuple):
+    """Per-question record of removed critical triples. Only the removals
+    are stored; :attr:`coverage` derives each question's label from them."""
+
+    entries: dict[str, list[Triple]]
+
+    @property
+    def coverage(self) -> dict[str, str]:
+        """Question id -> IKG if anything was removed for it, else CKG."""
+        return {qid: _coverage(removed) for qid, removed in self.entries.items()}
+
+
+def write_removal_log(log: RemovalLog, path: str | Path) -> None:
+    """Write a removal log as JSON-lines {"id", "removed", "coverage"}."""
+    write_jsonl(({"id": qid, "removed": [list(t) for t in removed], "coverage": _coverage(removed)}
+                 for qid, removed in log.entries.items()), path)
+
+
+def read_removal_log(path: str | Path) -> RemovalLog:
+    """Read a JSON-lines removal log. Ids are read as text (a number as its
+    digits), as in the QA and trajectory files; an id may appear once, each
+    removed triple holds three strings, and a coverage label must agree with
+    the record's removals, else :class:`KGError` names the file and line."""
+    seen: set[str] = set()
+
+    def record(rec: dict) -> tuple[str, list[Triple]]:
+        qid = json_id(rec["id"], "id")
+        if qid in seen:
+            raise ValueError(f"duplicate question id {qid!r}")
+        seen.add(qid)
+        label = rec["coverage"]
+        if label not in (COVERAGE_CKG, COVERAGE_IKG):
+            raise ValueError(f"unknown coverage label {label!r}")
+        removed = [Triple(*(json_text(x, "removed") for x in json_list(t, "removed")))
+                   for t in json_list(rec["removed"], "removed")]
+        if label != _coverage(removed):
+            raise ValueError(f"coverage label {label!r} disagrees with {len(removed)} removed triples")
+        return qid, removed
+
+    return RemovalLog(dict(read_jsonl(path, KGError, "removal-log record", record)))

@@ -21,12 +21,11 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence, Set
+from typing import NamedTuple, Sequence, Set
 
 from .jsonio import json_text, read_jsonl
-from .kg import COVERAGE_CKG, COVERAGE_IKG
+from .qa import COVERAGE_CKG, COVERAGE_IKG
 from .text import normalize
 from .trajectory import (
     NEIGHBOR_INFORMATION,
@@ -39,8 +38,7 @@ from .trajectory import (
 ADVANTAGE_EPS = 1e-8
 
 
-@dataclass(frozen=True)
-class RewardBreakdown:
+class RewardBreakdown(NamedTuple):
     """All reward components for one trajectory: format validity, answer
     F1, the accuracy reward, graph and web coverage (0 or 1), and the
     overall reward."""

@@ -25,7 +25,6 @@ state are per-rollout.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 
 from .kg import KnowledgeGraph
 from .qa import QAExample, build_prompt
@@ -83,15 +82,15 @@ class Policy(ABC):
         raise NotImplementedError
 
 
-@dataclass
 class RolloutConfig:
     """The tool-call budget of a rollout; at least 1, else ``ValueError``."""
 
-    max_iterations: int = 10
+    __slots__ = ("max_iterations",)
 
-    def __post_init__(self) -> None:
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+    def __init__(self, max_iterations: int = 10) -> None:
+        if max_iterations < 1:
+            raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
+        self.max_iterations = max_iterations
 
 
 def _cut_at_action(segment: str) -> tuple[str, str | None]:

@@ -11,7 +11,6 @@ immutable values.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -68,8 +67,7 @@ class Step(NamedTuple):
     content: str
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     question_id: str
     steps: tuple[Step, ...]
     raw: str

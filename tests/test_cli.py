@@ -161,6 +161,19 @@ class TestRolloutFlags:
         assert "no sub-questions" in stderr
 
 
+    def test_a_snippet_with_a_lone_surrogate_reaches_the_trajectory_file(self, capsys, tmp_path):
+        corpus = tmp_path / "web.jsonl"
+        records = [json.loads(line) for line in TOY_WEB_CORPUS.read_text().splitlines() if line.strip()]
+        corpus.write_text("".join(json.dumps({**rec, "snippet": rec["snippet"] + " \ud800"}) + "\n" for rec in records))
+        ikg, log, traj = tmp_path / "ikg.tsv", tmp_path / "ikg.jsonl", tmp_path / "traj.jsonl"
+        assert run(capsys, "sample-ikg", "--triples", str(TOY_KG), "--aliases", str(TOY_ALIASES), "--qa", str(TOY_QA),
+                   "--fraction", "1", "--out-kg", str(ikg), "--out-log", str(log))[0] == 0
+        rc, stdout, _ = run(capsys, "rollout", "--kg", str(ikg), "--aliases", str(TOY_ALIASES), "--qa", str(TOY_QA),
+                            "--web-corpus", str(corpus), "--out", str(traj))
+        assert rc == 0 and json.loads(stdout) == {"questions": 25, "trajectories": 25}
+        texts = [json.loads(line)["text"] for line in traj.read_text(encoding="utf-8").splitlines()]
+        assert len(texts) == 25 and any("\ud800</web_information>" in text for text in texts)
+
     @pytest.mark.parametrize("flag, value, field", [
         ("--max-iters", "0", "max_iterations"),
         ("--max-iters", "-2", "max_iterations"),

@@ -1,4 +1,3 @@
-import dataclasses
 
 import pytest
 
@@ -81,7 +80,7 @@ class TestFixtureSuite:
         assert PLAN_JUDGE in verdict.failed_checks
 
     def test_blank_plan_fails_plan_judge(self, tk1_example):
-        example = dataclasses.replace(tk1_example, topic_entities=())
+        example = tk1_example._replace(topic_entities=())
         traj = parse_trajectory("<plan></plan>" + KG_HIT + GOOD)
         verdict = filter_trajectory(traj, example, "CKG", RuleJudge())
         assert verdict.failed_checks == (PLAN_JUDGE,)

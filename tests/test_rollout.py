@@ -1,4 +1,3 @@
-import dataclasses
 
 import pytest
 from hypothesis import given, settings
@@ -194,7 +193,7 @@ class TestOracleRollout:
             run_rollout(ScriptedOracle(), tk1, tk1_web, bare)
 
     def test_blank_plan_is_an_error(self, tk1, tk1_web, tk1_example):
-        blank = dataclasses.replace(tk1_example, plan="  \n")
+        blank = tk1_example._replace(plan="  \n")
         with pytest.raises(PlanError, match="no sub-questions"):
             run_rollout(ScriptedOracle(), tk1, tk1_web, blank)
 
@@ -651,7 +650,7 @@ class TestTagLikeText:
         assert not validate_format(traj)
 
     def test_oracle_answers_a_question_with_tag_like_text(self, tk1, tk1_example, tk1_web):
-        example = dataclasses.replace(tk1_example, question=tk1_example.question + " <i>exactly</i>")
+        example = tk1_example._replace(question=tk1_example.question + " <i>exactly</i>")
         traj = run_rollout(ScriptedOracle(), tk1, tk1_web, example)
         assert answer_items(traj) == ["iran"]
 

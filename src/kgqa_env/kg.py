@@ -7,6 +7,14 @@ order. It is immutable and safe to share across concurrent rollouts.
 :func:`sample_ikg` returns a graph that shares every column, table and map
 of its base by identity, plus an overlay of what its removals change.
 
+Its entity resolver is a hash table that holds no string: each entry is
+the low 32 bits of a name key's ``str`` hash, filed in bucket
+``hash & mask``. Those hashes are salted per interpreter
+(``PYTHONHASHSEED``), so the table is process-local, as the web corpus's
+bucket table is (see :mod:`kgqa_env.web`): a forked worker shares it with
+its parent, and pickling a graph raises ``TypeError``; another process
+loads the graph itself.
+
 The question-side names the graph works with (:class:`Triple`,
 :data:`SENTINEL`, :func:`display`, :class:`KGError`, the coverage labels
 and the removal log) are defined in :mod:`kgqa_env.qa` and re-exported here.
@@ -52,6 +60,22 @@ def is_sentinel(text: str) -> bool:
 TOP_K_RELATIONS = 15
 
 
+#: The low 32 bits of a ``str`` hash: what the resolver stores of a key.
+_LOW32 = 0xFFFFFFFF
+
+
+def _folded(text: str) -> str:
+    """The resolver's key of a name: its normalized display form. A name's
+    normalized id and normalized display form fold to the same key,
+    ``_folded(normalize(text)) == _folded(text)``, so one entry files both."""
+    return normalize(display(text))
+
+
+def _key_hashes(names: Iterable[str]) -> array:
+    """The low 32 bits of the hash of each name's folded key, in order."""
+    return array("I", map(_LOW32.__and__, map(hash, map(_folded, names))))
+
+
 def _position(names: tuple[str, ...], name: str) -> int:
     """``name``'s id in a sorted name table, or -1 when it is not there."""
     at = bisect_left(names, name)
@@ -87,13 +111,13 @@ def _encode(triples: Iterable[tuple[str, str, str]], extra: Iterable[str]) -> tu
     for head in heads:
         slot[head + 1] += 1
     first = array("i", accumulate(slot))
-    slot[:] = first
+    slot = array("i", first)  # an array: a list would hold an int object per entity
     keyed = array("q", [0]) * len(heads)
     keys = map(add, map(mul, map(relation_rank.__getitem__, relations), repeat(n)), map(rank.__getitem__, tails))
     for head, key in zip(heads, keys):
         keyed[slot[head]] = key
         slot[head] += 1
-    del heads, relations, tails, slot
+    del heads, relations, tails, slot, keys  # keys' maps hold the relation and tail columns
     first_pair, pair_relation, first_tail, tail = array("i", [0]), array("i"), array("i"), array("i")
     add_pair, add_first_tail, add_tail = pair_relation.append, first_tail.append, tail.append
     for lo, hi in zip(first, first[1:]):
@@ -108,6 +132,36 @@ def _encode(triples: Iterable[tuple[str, str, str]], extra: Iterable[str]) -> tu
         first_pair.append(len(pair_relation))
     add_first_tail(len(tail))
     return entities, relation_names, first_pair, pair_relation, first_tail, tail
+
+
+def _resolver(entities: tuple[str, ...], aliases: dict[str, tuple[str, ...]]) -> tuple[array, array, array, array]:
+    """(bucket heads, chain links, key hashes, owners) of the resolver's
+    entries, in entity order: one for each entity's id and display form,
+    then one for each of an alias-file entity's aliases that folds to
+    another key. ``owners[entry]`` is the entry's entity id and
+    ``hashes[entry]`` its key's hash (see :func:`_key_hashes`). Bucket ``b``
+    holds the entries whose hash is ``b`` under the mask, a power of two
+    less one, with more buckets than entries: ``heads[b]`` is its first
+    entry, ``links[entry]`` the one after ``entry``, and -1 ends a chain.
+    The entries are filed last to first, so each chain runs in name order."""
+    own = _key_hashes(entities)
+    hashes, owners, done = array("I"), array("i"), 0
+    for entity in sorted(aliases):  # each alias entry goes right after its entity's own
+        owner = _position(entities, entity)
+        others = [h for h in dict.fromkeys(_key_hashes(aliases[entity])) if h != own[owner]]
+        hashes.extend(own[done:owner + 1] + array("I", others))
+        owners.extend(chain(range(done, owner + 1), repeat(owner, len(others))))
+        done = owner + 1
+    hashes.extend(own[done:])
+    owners.extend(range(done, len(entities)))
+    heads = array("i", [-1]) * (1 << len(hashes).bit_length())
+    mask = len(heads) - 1
+    links = array("i", [-1]) * len(hashes)
+    for entry in range(len(hashes) - 1, -1, -1):
+        bucket = hashes[entry] & mask
+        links[entry] = heads[bucket]
+        heads[bucket] = entry
+    return heads, links, hashes, owners
 
 
 class _IndexView(Mapping):
@@ -135,7 +189,7 @@ class _IndexView(Mapping):
 
 #: The stored fields of a :class:`KnowledgeGraph`, in constructor order.
 _GRAPH_FIELDS = ("entities", "_relation_names", "_first_pair", "_pair_relation", "_first_tail", "_tail",
-                 "aliases", "_resolve", "_relation_tokens", "_token_relations", "_kept_tails", "_kept_relations")
+                 "aliases", "_resolver", "_relation_tokens", "_token_relations", "_kept_tails", "_kept_relations")
 
 
 class KnowledgeGraph:
@@ -144,8 +198,9 @@ class KnowledgeGraph:
     pairs of entity ``e`` at ``_first_pair[e]`` up to ``_first_pair[e + 1]``
     in ``_pair_relation`` (ascending relation ids), and the tails of pair
     ``p`` likewise in ``_tail`` (ascending entity ids); each alias-file
-    entity's names, in file order without repeats; the resolver from
-    normalized text to entity; the two relation ranking maps. A graph from
+    entity's names, in file order without repeats; the resolver, a hash
+    table of the entities' name keys (see :func:`_resolver`); the two
+    relation ranking maps. A graph from
     :func:`sample_ikg` shares all of it with its base, plus an overlay of
     the surviving tails of each pair and the surviving relations of each
     head its removals touch. Its tables and ranking maps may name relations
@@ -162,17 +217,17 @@ class KnowledgeGraph:
     _first_tail: array
     _tail: array
     aliases: dict[str, tuple[str, ...]]
-    _resolve: dict[str, str]
+    _resolver: tuple[array, array, array, array]  # bucket heads, chain links, key hashes, owners
     _relation_tokens: tuple[frozenset[str], ...]  # relation id -> its word tokens
     _token_relations: dict[str, frozenset[int]]  # word token -> ids of the relations holding it
     _kept_tails: dict[int, tuple[int, ...]]  # pair -> its surviving tails
     _kept_relations: dict[int, array]  # head id -> its surviving relations
 
     def __init__(self, entities, _relation_names, _first_pair, _pair_relation, _first_tail, _tail, aliases,
-                 _resolve, _relation_tokens, _token_relations, _kept_tails, _kept_relations) -> None:
+                 _resolver, _relation_tokens, _token_relations, _kept_tails, _kept_relations) -> None:
         # written into the instance dictionary past __setattr__, as functools.cached_property writes there
         vars(self).update(zip(_GRAPH_FIELDS, (
-            entities, _relation_names, _first_pair, _pair_relation, _first_tail, _tail, aliases, _resolve,
+            entities, _relation_names, _first_pair, _pair_relation, _first_tail, _tail, aliases, _resolver,
             _relation_tokens, _token_relations, _kept_tails, _kept_relations)))
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -193,6 +248,10 @@ class KnowledgeGraph:
 
     __hash__ = None  # its dicts and arrays are unhashable
 
+    def __reduce__(self):
+        # the resolver holds this process's string hashes: see the module docstring
+        raise TypeError("a KnowledgeGraph cannot be pickled: load its triples in each process")
+
     def _replace(self, **changes) -> KnowledgeGraph:
         """A new graph with ``changes`` to the named fields and every other
         field shared, as ``NamedTuple._replace`` makes one."""
@@ -203,10 +262,6 @@ class KnowledgeGraph:
                      alias_map: dict[str, Sequence[str]] | None = None) -> "KnowledgeGraph":
         aliases = {e: tuple(dict.fromkeys(names)) for e, names in (alias_map or {}).items()}
         entities, relation_names, *columns = _encode(triples, aliases)
-        resolve: dict[str, str] = {}
-        for e in entities:
-            for key in filter(None, (normalize(e), normalize(display(e)), *map(normalize, aliases.get(e, ())))):
-                resolve.setdefault(key, e)
         distinct: dict[str, str] = {}  # word_tokens makes a new string per occurrence; keep the first
         relation_tokens = tuple(frozenset(distinct.setdefault(t, t) for t in word_tokens(r)) for r in relation_names)
         token_sets: dict[str, set[int]] = {}
@@ -214,7 +269,8 @@ class KnowledgeGraph:
             for token in tokens:
                 token_sets.setdefault(token, set()).add(relation)
         token_relations = {t: frozenset(rs) for t, rs in token_sets.items()}
-        return cls(entities, relation_names, *columns, aliases, resolve, relation_tokens, token_relations, {}, {})
+        return cls(entities, relation_names, *columns, aliases, _resolver(entities, aliases), relation_tokens,
+                   token_relations, {}, {})
 
     def _tails_at(self, pair: int) -> Sequence[int]:
         kept = self._kept_tails.get(pair)
@@ -266,8 +322,35 @@ class KnowledgeGraph:
 
     def resolve_entity(self, text: str) -> str | None:
         """Map surface text (identifier or alias, any case/spacing) to an
-        entity identifier; None when nothing matches."""
-        return self._resolve.get(normalize(text))
+        entity identifier; None when nothing matches. The first entity in
+        name order wins whose normalized id, display form or alias equals
+        the normalized text: the walk confirms each entry of the text's
+        bucket that holds its key hash, in name order, so the hashes never
+        decide."""
+        want = normalize(text)
+        if not want:
+            return None
+        # No folded key holds a "_", and ``want`` folds to itself unless it
+        # holds one. So ``want`` is an entity's normalized id or display form
+        # exactly when it is the entity's id normalized with each "_" read
+        # as ``space``: the id itself when ``want`` holds a "_", else its
+        # display form.
+        if "_" in want:
+            key_hash, space = hash(_folded(want)) & _LOW32, "_"
+        else:
+            key_hash, space = hash(want) & _LOW32, " "
+        heads, links, hashes, owners = self._resolver
+        entry = heads[key_hash & (len(heads) - 1)]
+        while entry >= 0:
+            if hashes[entry] == key_hash:
+                entity = self.entities[owners[entry]]
+                name = entity.replace("_", space)
+                # a name whose lowercase is normalized text normalizes to it: a cheap first check
+                if (name.lower() == want or normalize(name) == want
+                        or want in map(normalize, self.aliases.get(entity, ()))):
+                    return entity
+            entry = links[entry]
+        return None
 
     def relation_search(self, entity: str, hypothesis: str) -> list[str]:
         """The :data:`TOP_K_RELATIONS` relations attached to ``entity`` that

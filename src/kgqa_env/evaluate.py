@@ -6,8 +6,7 @@ import json
 from pathlib import Path
 from typing import Sequence
 
-from .qa import QAExample
-from .text import normalize
+from .qa import QAExample, gold_alias_sets
 from .trajectory import SEARCH_TAGS, WEB_SEARCH, Trajectory, answer_items
 
 
@@ -29,8 +28,8 @@ def hits_at_1(trajs: Sequence[Trajectory], qa: Sequence[QAExample]) -> float:
         items = answer_items(traj)
         if not items:
             continue
-        first = items[0]
-        if any(first == normalize(alias) for aliases in ex.answers for alias in aliases):
+        first = items[0]  # never "", so the blank aliases the sets leave out could not match it
+        if any(first in aliases for aliases in gold_alias_sets(ex.answers)):
             hits += 1
     return hits / len(qa)
 

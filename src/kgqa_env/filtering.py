@@ -14,8 +14,8 @@ from typing import NamedTuple
 
 from .jsonio import post_json
 from .plan import Ans, PlanError, expr_dependencies, parse_plan
-from .qa import COVERAGE_CKG, COVERAGE_IKG, QAExample, build_prompt, display
-from .rewards import _concat_info, _covers, _f1, _gold_sets
+from .qa import COVERAGE_CKG, COVERAGE_IKG, QAExample, build_prompt, display, gold_alias_sets
+from .rewards import _concat_info, _covers, _f1
 from .text import normalize
 from .trajectory import (
     NEIGHBOR_INFORMATION,
@@ -119,7 +119,7 @@ def filter_trajectory(traj: Trajectory, example: QAExample, coverage: str, judge
     if coverage not in (COVERAGE_CKG, COVERAGE_IKG):
         raise ValueError(f"coverage label must be {COVERAGE_CKG!r} or {COVERAGE_IKG!r}, got {coverage!r}")
     failed: list[str] = []
-    gold_sets = _gold_sets(example.answers)
+    gold_sets = gold_alias_sets(example.answers)
     if validate_format(traj):
         failed.append(FORMAT)
     if _f1(set(answer_items(traj)), gold_sets) < 1.0:

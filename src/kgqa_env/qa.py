@@ -1,26 +1,35 @@
 """Question/answer records, their JSON-lines file format, and the prompt
 that shows a question to the policy.
 
-Also the vocabulary that the graph module shares with the commands that
-load no graph: :class:`Triple`, :func:`display`, :class:`KGError`, the
-no-information :data:`SENTINEL`, the CKG/IKG coverage labels, and the
-removal log that :func:`kgqa_env.kg.sample_ikg` writes and ``score`` and
-``filter-sft`` read. ``kgqa_env.kg`` re-exports each of these names, so the
-graph's callers find them there too; this module imports no graph.
+Also each question's gold view, :func:`gold_alias_sets`, which the scorer,
+the filter and the evaluator read; and the vocabulary that the graph module
+shares with the commands that load no graph: :class:`Triple`,
+:func:`display`, :class:`KGError`, the no-information :data:`SENTINEL`, the
+CKG/IKG coverage labels, and the removal log that
+:func:`kgqa_env.kg.sample_ikg` writes and ``score`` and ``filter-sft`` read.
+``kgqa_env.kg`` re-exports each of these names, so the graph's callers find
+them there too; this module imports no graph.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from .jsonio import json_id, json_list, json_text, read_jsonl, write_jsonl
-from .text import _STRIP_CHARS
+from .text import _STRIP_CHARS, normalize
 
 SENTINEL = "No information in KG, please use web tool."
 
 COVERAGE_CKG = "CKG"
 COVERAGE_IKG = "IKG"
+
+#: Questions whose gold view one process keeps, the least recently used
+#: dropped first: one training batch of questions, so each of a question's
+#: G samples, and its score and its filter, read what its first one built.
+GOLD_CACHE_SIZE = 1024
+_BLANK = frozenset(("",))
 
 # Tag names are spelled without angle brackets here so the full conversation
 # (prompt plus generated text) stays parseable by the trajectory grammar.
@@ -71,6 +80,24 @@ class QAExample(NamedTuple):
     answers: tuple[tuple[str, ...], ...]
     critical_triples: tuple[Triple, ...] = ()
     plan: str | None = None
+
+
+def gold_alias_sets(answers: Sequence[Sequence[str]]) -> tuple[frozenset[str], ...]:
+    """Each gold answer's normalized, non-empty aliases, in ``answers``'
+    order. Built once per process for each distinct value of ``answers``
+    (:data:`GOLD_CACHE_SIZE` of them at a time): equal golds share one
+    entry, and a miss recomputes, so eviction never changes a result. A
+    list works as well as the tuples :func:`load_qa` gives, at the price of
+    one copy per call."""
+    try:
+        return _gold_alias_sets(answers)
+    except TypeError:  # a list somewhere, which no cache key can hold
+        return _gold_alias_sets(tuple(map(tuple, answers)))
+
+
+@lru_cache(maxsize=GOLD_CACHE_SIZE)
+def _gold_alias_sets(answers: tuple[tuple[str, ...], ...]) -> tuple[frozenset[str], ...]:
+    return tuple(frozenset(map(normalize, aliases)) - _BLANK for aliases in answers)
 
 
 def load_qa(path: str | Path) -> list[QAExample]:

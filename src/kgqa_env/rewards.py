@@ -8,12 +8,17 @@ web search when the graph was complete, or its absence when the graph was
 not. All operations are pure; batches can be scored in parallel without
 coordination.
 
-Cost: one call normalizes each gold alias once, and each information text
-(the joined graph blocks, the joined web blocks) once, so scoring is linear
-in the trajectory's length plus its number of gold aliases, apart from the
-substring search of each alias in its text. The F1 check and the coverage
-checks of one call share the normalized aliases (``_gold_sets``); nothing is
-cached across calls.
+Cost: one call normalizes each information text (the joined graph blocks,
+the joined web blocks) once, so scoring is linear in the trajectory's
+length, apart from the substring search of each gold alias in its text.
+The gold aliases are normalized once per question, not per call:
+:func:`kgqa_env.qa.gold_alias_sets` memoizes them by value, for up to
+``GOLD_CACHE_SIZE`` (1,024) distinct golds, one training batch of
+questions, so a question's G samples, and the filter after the scorer,
+read what its first call built. The memo stops at per-question data:
+GRPO's samples of one question differ from each other, so a cache keyed by
+a trajectory (its parse, its format check, its answer items) would hit
+only on repeated identical text.
 """
 
 from __future__ import annotations
@@ -22,10 +27,10 @@ import itertools
 import math
 import sys
 from pathlib import Path
-from typing import NamedTuple, Sequence, Set
+from typing import AbstractSet, NamedTuple, Sequence
 
 from .jsonio import json_text, read_jsonl
-from .qa import COVERAGE_CKG, COVERAGE_IKG
+from .qa import COVERAGE_CKG, COVERAGE_IKG, gold_alias_sets
 from .text import normalize
 from .trajectory import (
     NEIGHBOR_INFORMATION,
@@ -51,15 +56,10 @@ class RewardBreakdown(NamedTuple):
     r_over: float
 
 
-def _gold_sets(gold: Sequence[Sequence[str]]) -> list[set[str]]:
-    """Each gold answer's normalized, non-empty aliases. A call that runs
-    several checks builds these once and hands them to each."""
-    return [{normalize(a) for a in aliases} - {""} for aliases in gold]
-
-
-def _f1(pred_norm: Set[str], gold_sets: list[set[str]]) -> float:
+def _f1(pred_norm: AbstractSet[str], gold_sets: Sequence[AbstractSet[str]]) -> float:
     """F1 of normalized, non-empty predictions (``answer_items`` gives
-    them so) against ``_gold_sets``."""
+    them so) against a question's memoized gold alias sets
+    (:func:`~kgqa_env.qa.gold_alias_sets`)."""
     if not pred_norm or not gold_sets:
         return 0.0
     matched_preds = len(pred_norm & set().union(*gold_sets))
@@ -71,8 +71,10 @@ def _f1(pred_norm: Set[str], gold_sets: list[set[str]]) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def _covers(text: str, gold_sets: list[set[str]]) -> int:
-    """1 iff every gold answer has an alias inside the normalized text."""
+def _covers(text: str, gold_sets: Sequence[AbstractSet[str]]) -> int:
+    """1 iff every gold answer has an alias inside the normalized text. The
+    text is normalized here, once per call; ``gold_sets`` are the question's
+    memoized alias sets, already normalized."""
     if not gold_sets or not text:
         return 0
     haystack = normalize(text)
@@ -108,7 +110,7 @@ def score_trajectory(traj: Trajectory, gold: Sequence[Sequence[str]], coverage: 
     ``r_acc`` is 0 for a malformed trajectory, else max(0.1, r_ans).
     ``r_graph`` (``r_web``) is 1 iff every gold answer has an alias in the
     normalized, joined neighbor_information (web_information) contents."""
-    gold_sets = _gold_sets(gold)
+    gold_sets = gold_alias_sets(gold)
     format_ok = not validate_format(traj)
     r_ans = _f1(set(answer_items(traj)), gold_sets)
     r_acc = max(0.1, r_ans) if format_ok else 0.0

@@ -303,6 +303,36 @@ def test_every_subcommand_formats_its_help(capsys, command):
     assert options == ["--help", *COMMANDS[command]]
 
 
+def test_a_one_command_parser_prints_what_the_full_parser_prints(capsys):
+    """A launch that names a command builds that subparser only; what the
+    top level prints must not show it."""
+    from kgqa_env.cli import COMMANDS, build_parser
+
+    def printed(parse, argv):
+        with pytest.raises(SystemExit) as exit_:
+            parse(argv)
+        out = capsys.readouterr()
+        return exit_.value.code, out.out, out.err
+
+    full = build_parser()
+    assert tuple(full._subparsers._group_actions[0].choices) == COMMANDS
+    assert printed(main, ["--help"]) == printed(full.parse_args, ["--help"])
+    invalid, missing = printed(main, ["nope"]), printed(main, [])
+    assert invalid == printed(build_parser().parse_args, ["nope"])
+    assert missing == printed(build_parser().parse_args, [])
+    # The full parser names its positional "command" in these two errors.
+    assert "error: argument command: invalid choice: 'nope'" in invalid[2]
+    assert missing[2].endswith("error: the following arguments are required: command\n")
+    unrecognized = ["advantages", "--scores", "s.jsonl", "--out", "a.jsonl", "--bogus"]
+    assert printed(main, unrecognized) == printed(build_parser().parse_args, unrecognized)
+    for command in COMMANDS:
+        one = build_parser([command])
+        assert list(one._subparsers._group_actions[0].choices) == [command]
+        assert one.format_usage() == full.format_usage()
+        for argv in ([command], [command, "--help"]):  # the missing options; the command's help
+            assert printed(main, argv) == printed(build_parser().parse_args, argv)
+
+
 def test_a_programming_error_propagates(monkeypatch):
     from kgqa_env import cli
 

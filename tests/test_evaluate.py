@@ -30,6 +30,11 @@ class TestHitsAt1:
         trajs = [_traj("a", "gold"), _traj("b", "Gold"), _traj("c", "gold; junk"), _traj("d", "junk; gold")]
         assert hits_at_1(trajs, qa) == 0.75
 
+    def test_blank_aliases_match_nothing(self):
+        qa = [_ex("a", "", " , ", "Gold"), _ex("b", "", "?"), _ex("c", "Gold")]
+        trajs = [_traj("a", " GOLD."), _traj("b", "?; gold"), _traj("c", ";;gold")]
+        assert hits_at_1(trajs, qa) == 2 / 3
+
     def test_only_first_item_counts(self):
         qa = [_ex("a", "Gold")]
         assert hits_at_1([_traj("a", "junk; gold")], qa) == 0.0

@@ -1,7 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kgqa_env import qa
 from kgqa_env.kg import Triple
-from kgqa_env.qa import QAError, QAExample, load_qa
+from kgqa_env.qa import QAError, QAExample, gold_alias_sets, load_qa
+from kgqa_env.text import normalize
 
 
 def test_round_trip(tmp_path):
@@ -127,3 +131,62 @@ def test_a_numeric_id_is_read_as_text(tmp_path):
     path.write_text('{"id": 7, "question": "?", "topic_entities": [], "answers": [["a"]]}\n'
                     '{"id": 7.5, "question": "?", "topic_entities": [], "answers": [["a"]]}\n')
     assert [ex.id for ex in load_qa(path)] == ["7", "7.5"]
+
+
+# -- the gold view ------------------------------------------------------------
+
+def _reference_alias_sets(gold):
+    """The per-call formula the memo replaced."""
+    return [{normalize(a) for a in s} - {""} for s in gold]
+
+
+#: Aliases that repeat, that are blank or punctuation only, or that hold
+#: Unicode whitespace, besides arbitrary text.
+_alias = st.one_of(
+    st.sampled_from(["Iran", "iran", " IRAN. ", "", "   ", "?!", "--", "\u3000", "Islamic\u2003Republic\xa0of Iran",
+                     "new\u2028york", "\u200a.\u200a"]),
+    st.text(max_size=12),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(_alias, max_size=5), max_size=5), st.booleans())
+def test_memoized_alias_sets_equal_the_per_call_formula(gold, as_tuples):
+    if as_tuples:
+        gold = tuple(map(tuple, gold))
+    expected = _reference_alias_sets(gold)
+    assert list(gold_alias_sets(gold)) == expected  # a hit or a miss, whatever ran before
+    qa._gold_alias_sets.cache_clear()
+    assert list(gold_alias_sets(gold)) == expected  # a miss
+    assert list(gold_alias_sets(gold)) == expected  # a hit
+
+
+def test_list_and_tuple_golds_share_an_entry():
+    qa._gold_alias_sets.cache_clear()
+    assert gold_alias_sets([["Iran", "Islamic Republic of Iran"]]) is gold_alias_sets((("Iran", "Islamic Republic of Iran"),))
+    assert qa._gold_alias_sets.cache_info().currsize == 1
+
+
+def test_memoized_alias_sets_cannot_be_mutated():
+    sets = gold_alias_sets((("Iran", "Islamic Republic of Iran"), ("Iraq",)))
+    assert isinstance(sets, tuple)
+    assert all(isinstance(s, frozenset) for s in sets)
+    with pytest.raises(TypeError):
+        sets[0] = frozenset()
+    with pytest.raises(AttributeError):
+        sets[0].add("persia")
+
+
+def test_a_second_call_normalizes_no_alias(monkeypatch):
+    calls = []
+    monkeypatch.setattr(qa, "normalize", lambda text: calls.append(text) or normalize(text))
+    qa._gold_alias_sets.cache_clear()
+    gold = (("Iran", "Islamic Republic of Iran"), ("Iraq",))
+    first = gold_alias_sets(gold)
+    assert len(calls) == 3
+    assert gold_alias_sets(tuple(map(tuple, gold))) is first  # equal gold, another object
+    assert len(calls) == 3
+
+
+def test_the_memo_is_bounded():
+    assert qa._gold_alias_sets.cache_info().maxsize == qa.GOLD_CACHE_SIZE >= 1024

@@ -149,6 +149,27 @@ class TestOracleRollout:
         run_rollout(ScriptedOracle(), ikg, tk1_web, tk1_example)
         assert built == [tk1_example.id]
 
+    def test_memoized_gold_map_equals_the_per_call_formula(self, tk1_example, toy_qa):
+        def reference(example):
+            gold = {}
+            for h, r, t in example.critical_triples:
+                gold.setdefault((normalize(display(h)), r), set()).add(normalize(display(t)))
+            return gold
+
+        policies._gold_tail_map.cache_clear()
+        for example in [tk1_example, *toy_qa]:
+            for _ in range(2):  # a miss, then a hit
+                assert policies._gold_tails(example) == reference(example)
+        assert policies._gold_tails(tk1_example._replace(critical_triples=[list(t) for t in tk1_example.critical_triples])) \
+            is policies._gold_tails(tk1_example)
+
+    def test_memoized_gold_map_cannot_be_mutated(self, tk1_example):
+        gold = policies._gold_tails(tk1_example)
+        with pytest.raises(TypeError):
+            gold["x", "y"] = frozenset()
+        with pytest.raises(AttributeError):
+            gold["iranian rial", "currency_of"].add("iraq")
+
     def test_ikg_falls_back_to_web(self, tk1, tk1_example, tk1_web):
         ikg, _ = sample_ikg(tk1, [tk1_example], 1.0, seed=1)
         traj = run_rollout(ScriptedOracle(), ikg, tk1_web, tk1_example)

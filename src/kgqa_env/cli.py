@@ -16,14 +16,8 @@ modules it runs, inside its ``cmd_*`` function; no package module imports
 are ``NamedTuple`` or plain classes. Only ``build-kg``, ``sample-ikg`` and
 ``rollout`` load the graph module ``kg``; the others take the coverage
 labels, ``Triple``, ``display``, ``KGError`` and the removal log from
-``qa``. Import cost over a bare interpreter, first with ``dataclasses``
-and ``kg`` loaded by all seven commands, then as now (median of 21 launches,
-sources compiled at each launch, Python 3.11 on a 2-vCPU VM): build-kg 25 -> 16 ms,
-sample-ikg 28 -> 16, rollout 40 -> 29, score 33 -> 17, advantages 32 -> 16,
-filter-sft 38 -> 20, eval 36 -> 16; 233 -> 128 ms for the seven. A
-launch that names its command builds that one subparser only: 1.5 ms
-against 2.6 ms for all seven (``build_parser`` in a fresh interpreter,
-median of 6 launches each).
+``qa``. For the same reason a launch that names its command builds that
+one subparser only, not all seven.
 """
 
 from __future__ import annotations
@@ -226,18 +220,22 @@ def cmd_advantages(args: argparse.Namespace) -> int:
 
 
 def cmd_filter_sft(args: argparse.Namespace) -> int:
+    from collections import Counter
+
     from . import filtering
     from .jsonio import write_jsonl
 
     judge = filtering.RemoteJudge(args.judge_url) if args.judge_url else filtering.RuleJudge()
-    kept, dropped = [], 0
+    kept, dropped, failed = [], 0, Counter()  # failed: check code -> trajectories that failed it
     for traj, ex, label in _labelled(args):
-        if filtering.filter_trajectory(traj, ex, label, judge).keep:
+        verdict = filtering.filter_trajectory(traj, ex, label, judge)
+        if verdict.keep:
             kept.append(filtering.sft_record(ex, traj))
         else:
             dropped += 1
+            failed.update(verdict.failed_checks)
     write_jsonl(kept, args.out)
-    print(json.dumps({"kept": len(kept), "dropped": dropped}))
+    print(json.dumps({"kept": len(kept), "dropped": dropped, "failed": dict(sorted(failed.items()))}))
     return 0
 
 

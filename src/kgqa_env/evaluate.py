@@ -11,27 +11,30 @@ from .trajectory import SEARCH_TAGS, WEB_SEARCH, Trajectory, answer_items
 
 
 def hits_at_1(trajs: Sequence[Trajectory], qa: Sequence[QAExample]) -> float:
-    """Fraction of questions whose first predicted answer exactly matches
-    any gold alias after normalization. Questions without a trajectory count
-    as misses (with a warning)."""
+    """Fraction of trajectories whose first predicted answer exactly matches
+    any gold alias of their question after normalization. Every sample of a
+    question counts, as in the web-usage ratios, and a question without a
+    trajectory counts as one miss (with a warning). A trajectory whose
+    question has no QA record is a ``ValueError``."""
     if not qa:
         raise ValueError("hits_at_1 needs at least one question")
-    by_id = {t.question_id: t for t in trajs}
+    by_id = {ex.id: ex for ex in qa}
     hits = 0
-    for ex in qa:
-        traj = by_id.get(ex.id)
-        if traj is None:
-            import logging  # here, where it is used: loading it costs every eval run about 3 ms
-
-            logging.getLogger(__name__).warning("no trajectory for question %s; counted as a miss", ex.id)
-            continue
+    for traj in trajs:
+        ex = by_id.get(traj.question_id)
+        if ex is None:
+            raise ValueError(f"trajectory {traj.question_id!r} has no QA record")
         items = answer_items(traj)
-        if not items:
-            continue
-        first = items[0]  # never "", so the blank aliases the sets leave out could not match it
-        if any(first in aliases for aliases in gold_alias_sets(ex.answers)):
+        # items[0] is never "", so the blank aliases the sets leave out could not match it
+        if items and any(items[0] in aliases for aliases in gold_alias_sets(ex.answers)):
             hits += 1
-    return hits / len(qa)
+    sampled = {t.question_id for t in trajs}
+    missing = [ex.id for ex in qa if ex.id not in sampled]
+    for qid in missing:
+        import logging  # here, where it is used: loading it costs every eval run about 3 ms
+
+        logging.getLogger(__name__).warning("no trajectory for question %s; counted as a miss", qid)
+    return hits / (len(trajs) + len(missing))
 
 
 def web_search_ratio(trajs: Sequence[Trajectory]) -> float:
@@ -54,12 +57,8 @@ def web_calls_per_tool_call(trajs: Sequence[Trajectory]) -> float:
 
 def build_report(trajs: Sequence[Trajectory], qa: Sequence[QAExample]) -> dict:
     """Single-document eval report with both web-usage variants. A
-    trajectory whose question has no QA record is a ``ValueError``: Hits@1
-    could not count it, and the web-usage ratios should not."""
-    known = {ex.id for ex in qa}
-    for t in trajs:
-        if t.question_id not in known:
-            raise ValueError(f"trajectory {t.question_id!r} has no QA record")
+    trajectory whose question has no QA record is a ``ValueError``, raised
+    by :func:`hits_at_1` before the web-usage ratios count it."""
     return {
         "hits_at_1": hits_at_1(trajs, qa),
         "web_search_ratio": web_search_ratio(trajs),

@@ -63,6 +63,16 @@ class Triple(NamedTuple):
     tail: str
 
 
+def _triple(value: object, field: str) -> Triple:
+    """``value`` as a :class:`Triple` if it is a JSON array of three
+    strings; else ``ValueError`` naming ``field`` and the value, which the
+    file's reader reports with the file and line."""
+    members = [json_text(x, field) for x in json_list(value, field)]
+    if len(members) != 3:
+        raise ValueError(f"{field!r} entry must be [head, relation, tail], got {value!r}")
+    return Triple(*members)
+
+
 def display(entity: str) -> str:
     """Human-readable surface form of an entity identifier."""
     return entity.replace("_", " ")
@@ -125,8 +135,7 @@ def load_qa(path: str | Path) -> list[QAExample]:
                                  for e in json_list(rec["topic_entities"], "topic_entities")),
             answers=tuple(tuple(json_text(a, "answers") for a in json_list(s, "answers"))
                           for s in json_list(rec["answers"], "answers")),
-            critical_triples=tuple(Triple(*(json_text(x, "critical_triples") for x in json_list(t, "critical_triples")))
-                                   for t in triples),
+            critical_triples=tuple(_triple(t, "critical_triples") for t in triples),
             plan=plan,
         )
         if not ex.answers:
@@ -186,8 +195,7 @@ def read_removal_log(path: str | Path) -> RemovalLog:
         label = rec["coverage"]
         if label not in (COVERAGE_CKG, COVERAGE_IKG):
             raise ValueError(f"unknown coverage label {label!r}")
-        removed = [Triple(*(json_text(x, "removed") for x in json_list(t, "removed")))
-                   for t in json_list(rec["removed"], "removed")]
+        removed = [_triple(t, "removed") for t in json_list(rec["removed"], "removed")]
         if label != _coverage(removed):
             raise ValueError(f"coverage label {label!r} disagrees with {len(removed)} removed triples")
         return qid, removed

@@ -42,7 +42,6 @@ corpus itself.
 
 from __future__ import annotations
 
-import functools
 import gc
 import json
 from abc import ABC, abstractmethod
@@ -50,46 +49,10 @@ from array import array
 from itertools import accumulate, chain, islice, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Collection, Iterable, Iterator, Sequence, TypeVar
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .jsonio import convert_lines, json_list, json_text, post_json
 from .text import word_tokens
-
-_F = TypeVar("_F", bound=Callable)
-
-
-def gc_paused(loader: _F) -> _F:
-    """Run ``loader`` with the cyclic garbage collector paused.
-
-    JSON decoding makes a dict and a list for each corpus record, and a
-    chunk's worth of them alive at once starts a young collection every few
-    hundred records: about 200 collections for 10^5 records, 0.03 s of a
-    0.6 s load, none of them finding garbage. The caller's collector state
-    is restored on return and on error; a caller that had paused it keeps
-    it paused.
-
-    After a load that succeeds with the collector running before it, every
-    tracked object (the load's, and whatever the caller's young generations
-    held) moves straight into the oldest generation, where the young
-    collections never look. Re-enabled as it was, the collector would walk
-    each loaded container twice on its way there, in whatever ran next.
-    """
-    @functools.wraps(loader)
-    def paused(*args, **kwargs):
-        was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            loaded = loader(*args, **kwargs)
-            if was_enabled:
-                gc.freeze()  # every tracked object to the permanent generation,
-                gc.unfreeze()  # and from there into the oldest one
-            return loaded
-        finally:
-            if was_enabled:
-                gc.enable()
-
-    return paused  # type: ignore[return-value]
-
 
 #: Records per chunk of a corpus column, and per read of a corpus file.
 CHUNK = 1024
@@ -184,14 +147,37 @@ class OfflineWebTool(WebTool):
         raise TypeError("an OfflineWebTool cannot be pickled: load its corpus in each process")
 
     @classmethod
-    @gc_paused
     def from_path(cls, path: str | Path) -> "OfflineWebTool":
         """Load a JSON-lines corpus. A malformed record, a key or snippet
         that is not a string, or a key that no query can match, raises
-        :class:`WebToolError` naming the file and line."""
-        tool = cls.__new__(cls)
-        tool._build(_read_corpus(path))
-        return tool
+        :class:`WebToolError` naming the file and line.
+
+        The load runs with the cyclic garbage collector paused. JSON
+        decoding makes a dict and a list for each record, and a chunk's
+        worth of them alive at once starts a young collection every few
+        hundred records: about 200 collections for 10^5 records, 0.03 s of
+        a 0.6 s load, none of them finding garbage. The caller's collector
+        state is restored on return and on error; a caller that had paused
+        it keeps it paused.
+
+        After a load that succeeds with the collector running before it,
+        every tracked object (the load's, and whatever the caller's young
+        generations held) moves straight into the oldest generation, where
+        the young collections never look. Re-enabled as it was, the
+        collector would walk each loaded container twice on its way there,
+        in whatever ran next."""
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            tool = cls.__new__(cls)
+            tool._build(_read_corpus(path))
+            if was_enabled:
+                gc.freeze()  # every tracked object to the permanent generation,
+                gc.unfreeze()  # and from there into the oldest one
+            return tool
+        finally:
+            if was_enabled:
+                gc.enable()
 
     def search(self, query: str, k: int) -> list[str]:
         if k < 1:
@@ -261,8 +247,9 @@ def _read_corpus(path: str | Path) -> Iterator[tuple[list[list[str]], list[str]]
                            and _words_only(list(chain.from_iterable(keys))))
             except (ValueError, KeyError, TypeError):
                 checked = False
-            if not checked:
-                keys, snippets = _matchable(list(convert_lines(chunk, path, WebToolError, "corpus record", _record)))
+            if not checked:  # _record rejects a key no query can match, so each record is matchable
+                records = list(convert_lines(chunk, path, WebToolError, "corpus record", _record))
+                keys, snippets = list(map(itemgetter(0), records)), list(map(itemgetter(1), records))
             yield keys, snippets
 
 

@@ -103,6 +103,33 @@ class TestPipeline:
         assert report["web_search_ratio"] == 0.4
         assert report["n_questions"] == 25
 
+    def test_filter_sft_counts_each_failed_check(self, tmp_path, capsys):
+        # The toy suite at IKG 0.4, seed 0, as CI runs it: each dropped
+        # trajectory counts once under every check code it failed.
+        ikg_kg, ikg_log, traj = tmp_path / "ikg.tsv", tmp_path / "ikg.jsonl", tmp_path / "traj.jsonl"
+        assert run(capsys, "sample-ikg", "--triples", str(TOY_KG), "--aliases", str(TOY_ALIASES),
+                   "--qa", str(TOY_QA), "--fraction", "0.4", "--seed", "0",
+                   "--out-kg", str(ikg_kg), "--out-log", str(ikg_log))[0] == 0
+        assert run(capsys, "rollout", "--kg", str(ikg_kg), "--aliases", str(TOY_ALIASES), "--qa", str(TOY_QA),
+                   "--web-corpus", str(TOY_WEB_CORPUS), "--out", str(traj))[0] == 0
+        rc, stdout, _ = run(capsys, "filter-sft", "--traj", str(traj), "--qa", str(TOY_QA),
+                            "--ikg-log", str(ikg_log), "--out", str(tmp_path / "sft.jsonl"))
+        assert rc == 0
+        assert stdout == ('{"kept": 9, "dropped": 16, "failed": {"ANSWER": 15, "RETRIEVAL_IKG_WEB_ABSENT": 15, '
+                          '"RETRIEVAL_IKG_WEB_MISS": 1}}\n')
+
+    def test_eval_counts_every_sample_in_either_order(self, workdir, capsys):
+        right = (workdir / "traj.jsonl").read_text().splitlines()
+        blank = [re.sub(r"<answer>[^<]*</answer>", "<answer></answer>", line) for line in right]
+        for first, second in ((right, blank), (blank, right)):
+            traj = workdir / "samples.jsonl"
+            traj.write_text("".join(f"{a}\n{b}\n" for a, b in zip(first, second)))
+            rc, stdout, _ = run(capsys, "eval", "--traj", str(traj), "--qa", str(TOY_QA),
+                                "--out", str(workdir / "report.json"))
+            assert rc == 0
+            report = json.loads(stdout)
+            assert (report["hits_at_1"], report["web_search_ratio"], report["n_questions"]) == (0.5, 0.4, 25)
+
     def test_score_matches_numeric_ids_across_files(self, workdir, capsys):
         # JSON ids written as numbers are read as text in the QA, trajectory and removal-log files alike
         qa, traj, log = (workdir / name for name in ("num_qa.jsonl", "num_traj.jsonl", "num_log.jsonl"))

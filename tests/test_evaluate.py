@@ -1,6 +1,8 @@
 import logging
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgqa_env.evaluate import build_report, hits_at_1, web_calls_per_tool_call, web_search_ratio
 from kgqa_env.qa import QAExample
@@ -55,6 +57,21 @@ class TestHitsAt1:
         trajs = [_traj("a", "x"), _traj("b", "zzz")]
         assert hits_at_1(trajs, qa) == hits_at_1(list(reversed(trajs)), qa)
 
+    def test_a_stray_trajectory_is_named(self):
+        qa = [_ex("a", "x")]
+        with pytest.raises(ValueError, match="trajectory 'stray' has no QA record"):
+            hits_at_1([_traj("a", "x"), _traj("stray", "x")], qa)
+
+    def test_every_sample_counts(self):
+        qa = [_ex("a", "x"), _ex("b", "y")]
+        right, blank = [_traj("a", "x"), _traj("b", "y")], [_traj("a", ""), _traj("b", "")]
+        for trajs in (right + blank, blank + right, [right[0], blank[0], blank[1], right[1]]):
+            assert hits_at_1(trajs, qa) == 0.5
+
+    def test_a_question_without_samples_is_one_miss(self):
+        qa = [_ex("a", "x"), _ex("b", "y")]
+        assert hits_at_1([_traj("a", "x"), _traj("a", "x"), _traj("a", "")], qa) == 2 / 4
+
 
 WEBBY = "<plan>P</plan><web_search>a | r</web_search><web_information>d</web_information><answer>x</answer>"
 GRAPHY = (
@@ -96,3 +113,29 @@ class TestReport:
         assert report["hits_at_1"] == 0.5
         assert report["web_search_ratio"] == 0.5
         assert report["n_questions"] == 2
+
+
+# Trajectories of three questions, each a web or a graph search and a right,
+# wrong or blank answer; a question may have none, or several samples.
+_QA3 = [_ex("a", "x"), _ex("b", "y"), _ex("c", "z")]
+_SAMPLE = st.tuples(st.sampled_from("abc"), st.sampled_from([WEBBY, GRAPHY]), st.sampled_from("xyz "))
+
+
+def _sample(qid, template, answer):
+    return parse_trajectory(template.replace("<answer>x</answer>", f"<answer>{answer}</answer>"), qid)
+
+
+class TestReportOverSamples:
+    @settings(max_examples=200, deadline=None)
+    @given(samples=st.lists(_SAMPLE, min_size=1, max_size=12), data=st.data())
+    def test_invariant_under_any_order(self, samples, data):
+        trajs = [_sample(*s) for s in samples]
+        shuffled = data.draw(st.permutations(trajs))
+        assert build_report(shuffled, _QA3) == build_report(trajs, _QA3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(samples=st.lists(_SAMPLE, min_size=3, max_size=3, unique_by=lambda s: s[0]))
+    def test_one_sample_a_question_is_hits_over_questions(self, samples):
+        trajs = [_sample(*s) for s in samples]
+        hits = sum(answer == ex.answers[0][0] for (_, _, answer), ex in zip(sorted(samples), _QA3))
+        assert build_report(trajs, _QA3)["hits_at_1"] == hits / len(_QA3)

@@ -3,6 +3,7 @@ import json
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -197,6 +198,16 @@ class TestLoad:
         log.write_text('{"id": "q", "removed": [], "coverage": "CKG"}\n'
                        f'{{"id": "r", "removed": [["a", {value}, "b"]], "coverage": "IKG"}}\n')
         with pytest.raises(KGError, match=f"line 2 of {log}: 'removed' must be text"):
+            read_removal_log(log)
+
+    @pytest.mark.parametrize("triple", ['["a", "r"]', '["a", "r", "b", "c"]'], ids=["two", "four"])
+    def test_removed_triple_of_the_wrong_length_names_file_and_line(self, tmp_path, triple):
+        log = tmp_path / "log.jsonl"
+        log.write_text('{"id": "q", "removed": [], "coverage": "CKG"}\n'
+                       f'{{"id": "r", "removed": [{triple}], "coverage": "IKG"}}\n')
+        value = re.escape(repr(json.loads(triple)))
+        with pytest.raises(KGError, match=f"line 2 of {log}: 'removed' entry must be \\[head, relation, tail\\], "
+                                          f"got {value}$"):
             read_removal_log(log)
 
     def test_string_removed_triple_is_not_a_list(self, tmp_path):

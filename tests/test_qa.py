@@ -1,3 +1,6 @@
+import json
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -112,6 +115,19 @@ def test_a_value_that_is_not_text_names_file_and_line(tmp_path, field, record, v
     path.write_text('{"id": "q1", "question": "?", "topic_entities": [], "answers": [["a"]]}\n'
                     '{"id": "q2", ' + record.replace("VALUE", value) + "}\n")
     with pytest.raises(QAError, match=f"line 2 of {path}: '{field}' must be text"):
+        load_qa(path)
+
+
+@pytest.mark.parametrize("triple", ['["Iranian_rial", "currency_of"]', '["Iranian_rial", "currency_of", "Iran", "x"]'],
+                         ids=["two", "four"])
+def test_a_critical_triple_of_the_wrong_length_names_file_and_line(tmp_path, triple):
+    path = tmp_path / "qa.jsonl"
+    path.write_text('{"id": "q1", "question": "?", "topic_entities": [], "answers": [["a"]]}\n'
+                    '{"id": "q2", "question": "?", "topic_entities": [], "answers": [["Iran"]], '
+                    f'"critical_triples": [{triple}]}}\n')
+    value = re.escape(repr(json.loads(triple)))
+    with pytest.raises(QAError, match=f"line 2 of {path}: 'critical_triples' entry must be "
+                                      f"\\[head, relation, tail\\], got {value}$"):
         load_qa(path)
 
 

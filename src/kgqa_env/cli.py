@@ -30,7 +30,6 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 if TYPE_CHECKING:
     from .qa import QAExample
     from .trajectory import Trajectory
-    from .web import WebTool
 
 
 #: The subcommands, in the order the top-level help lists them.
@@ -112,16 +111,6 @@ def _skip(*args: object, **kwargs: object) -> None:
     """``add_argument`` for a subcommand the parser leaves out."""
 
 
-def _make_web(args: argparse.Namespace) -> WebTool:
-    from .web import OfflineWebTool, RemoteWebTool, WebToolError
-
-    if args.web_url:
-        return RemoteWebTool(args.web_url)
-    if not args.web_corpus:
-        raise WebToolError("rollout needs --web-corpus PATH or --web-url URL")
-    return OfflineWebTool.from_path(args.web_corpus)
-
-
 def _labelled(args: argparse.Namespace) -> Iterator[tuple[Trajectory, QAExample, str]]:
     """Each trajectory of ``--traj`` with its QA record and the coverage
     label ``--ikg-log`` gives its question."""
@@ -181,12 +170,15 @@ def cmd_rollout(args: argparse.Namespace) -> int:
     from .qa import load_qa
     from .rollout import RolloutConfig, run_rollout
     from .trajectory import write_masks, write_trajectories
+    from .web import OfflineWebTool, RemoteWebTool, WebToolError
 
+    cfg = RolloutConfig(max_iterations=args.max_iters)  # the cheap checks first, before any file is read
+    if not (args.web_url or args.web_corpus):
+        raise WebToolError("rollout needs --web-corpus PATH or --web-url URL")
     kg = load_triples(args.kg, args.aliases)
     qa = load_qa(args.qa)
-    web = _make_web(args)
+    web = RemoteWebTool(args.web_url) if args.web_url else OfflineWebTool.from_path(args.web_corpus)
     policy = RemotePolicy(args.policy_url) if args.policy_url else ScriptedOracle()
-    cfg = RolloutConfig(max_iterations=args.max_iters)
     trajs = [run_rollout(policy, kg, web, ex, cfg) for ex in qa]
     write_trajectories(trajs, args.out)
     if args.masks:

@@ -56,12 +56,14 @@ def web_calls_per_tool_call(trajs: Sequence[Trajectory]) -> float:
 
 
 def build_report(trajs: Sequence[Trajectory], qa: Sequence[QAExample]) -> dict:
-    """Single-document eval report with both web-usage variants. A
-    trajectory whose question has no QA record is a ``ValueError``, raised
-    by :func:`hits_at_1` before the web-usage ratios count it."""
+    """Single-document eval report with both web-usage variants. No
+    trajectory at all, and one whose question has no QA record, is a
+    ``ValueError``; the first is raised before :func:`hits_at_1` warns of
+    each question as a miss."""
+    web = web_search_ratio(trajs)
     return {
         "hits_at_1": hits_at_1(trajs, qa),
-        "web_search_ratio": web_search_ratio(trajs),
+        "web_search_ratio": web,
         "web_calls_per_tool_call": web_calls_per_tool_call(trajs),
         "n_questions": len(qa),
     }

@@ -187,11 +187,6 @@ class _IndexView(Mapping):
         return sum(1 for _ in self._present())
 
 
-#: The stored fields of a :class:`KnowledgeGraph`, in constructor order.
-_GRAPH_FIELDS = ("entities", "_relation_names", "_first_pair", "_pair_relation", "_first_tail", "_tail",
-                 "aliases", "_resolver", "_relation_tokens", "_token_relations", "_kept_tails", "_kept_relations")
-
-
 class KnowledgeGraph:
     """Immutable triple store with an entity alias map. Stored: the sorted
     entity table (heads, tails, alias-file entities) and relation table; the
@@ -206,8 +201,9 @@ class KnowledgeGraph:
     head its removals touch. Its tables and ranking maps may name relations
     no head keeps; a ranking draws only on the head's own relations.
 
-    Its fields cannot be assigned; two graphs are equal when every field
-    is, and :meth:`_replace` copies one with some fields changed.
+    Its fields, the class annotations in constructor order, cannot be
+    assigned; two graphs are equal when every field is, and
+    :meth:`_replace` copies one with some fields changed.
     """
 
     entities: tuple[str, ...]
@@ -223,12 +219,9 @@ class KnowledgeGraph:
     _kept_tails: dict[int, tuple[int, ...]]  # pair -> its surviving tails
     _kept_relations: dict[int, array]  # head id -> its surviving relations
 
-    def __init__(self, entities, _relation_names, _first_pair, _pair_relation, _first_tail, _tail, aliases,
-                 _resolver, _relation_tokens, _token_relations, _kept_tails, _kept_relations) -> None:
+    def __init__(self, *fields: object) -> None:
         # written into the instance dictionary past __setattr__, as functools.cached_property writes there
-        vars(self).update(zip(_GRAPH_FIELDS, (
-            entities, _relation_names, _first_pair, _pair_relation, _first_tail, _tail, aliases, _resolver,
-            _relation_tokens, _token_relations, _kept_tails, _kept_relations)))
+        vars(self).update(zip(KnowledgeGraph.__annotations__, fields, strict=True))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r} of an immutable KnowledgeGraph")
@@ -239,7 +232,7 @@ class KnowledgeGraph:
     def _asdict(self) -> dict:
         """Field name -> value, in constructor order, as ``NamedTuple._asdict`` gives them."""
         fields = vars(self)
-        return {name: fields[name] for name in _GRAPH_FIELDS}
+        return {name: fields[name] for name in KnowledgeGraph.__annotations__}
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -254,8 +247,13 @@ class KnowledgeGraph:
 
     def _replace(self, **changes) -> KnowledgeGraph:
         """A new graph with ``changes`` to the named fields and every other
-        field shared, as ``NamedTuple._replace`` makes one."""
-        return KnowledgeGraph(**(self._asdict() | changes))
+        field shared, as ``NamedTuple._replace`` makes one; an unknown
+        field is a ``TypeError``."""
+        fields = self._asdict()
+        unknown = changes.keys() - fields.keys()
+        if unknown:
+            raise TypeError(f"KnowledgeGraph has no field {min(unknown)!r}")
+        return KnowledgeGraph(*(fields | changes).values())
 
     @classmethod
     def from_triples(cls, triples: Iterable[tuple[str, str, str]],

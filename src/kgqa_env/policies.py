@@ -3,14 +3,12 @@ for a remote chat-style generation endpoint."""
 
 from __future__ import annotations
 
-from functools import lru_cache
-from types import MappingProxyType
 from typing import Generator, Mapping
 
 from .jsonio import post_json
 from .kg import is_sentinel
 from .plan import Ans, eval_expr, parse_plan
-from .qa import GOLD_CACHE_SIZE, QAExample, Triple, display
+from .qa import QAExample, gold_tails
 from .rollout import FORCE_ANSWER_DIRECTIVE, STOP_TAGS, Policy, RolloutError
 from .text import normalize
 from .trajectory import (
@@ -103,33 +101,12 @@ def _script(example: QAExample) -> Generator[str, str, None]:
             if is_sentinel(found):
                 yield render_block(WEB_SEARCH, f"{head} | {relation}")
                 if gold is None:
-                    gold = _gold_tails(example)
+                    gold = gold_tails(example.critical_triples)
                 tails |= gold.get((normalize(head), relation), frozenset())
             else:
                 tails |= {normalize(part) for part in found.split(";")} - {""}
         bindings[sq_id] = tails
     yield render_block(ANSWER, "; ".join(sorted(bindings[plan.sub_questions[-1].id])))
-
-
-def _gold_tails(example: QAExample) -> Mapping[tuple[str, str], frozenset[str]]:
-    """Gold-path knowledge for web fallbacks: (head surface, relation) ->
-    tails, read-only. Built once per process for each distinct value of
-    ``example.critical_triples``, as :func:`kgqa_env.qa.gold_alias_sets` is
-    for the answers, so each of a question's rollouts after its first reads
-    the same map."""
-    triples = example.critical_triples
-    try:
-        return _gold_tail_map(triples)
-    except TypeError:  # a list somewhere, which no cache key can hold
-        return _gold_tail_map(tuple(map(tuple, triples)))
-
-
-@lru_cache(maxsize=GOLD_CACHE_SIZE)
-def _gold_tail_map(triples: tuple[Triple, ...]) -> Mapping[tuple[str, str], frozenset[str]]:
-    gold: dict[tuple[str, str], set[str]] = {}
-    for h, r, t in triples:
-        gold.setdefault((normalize(display(h)), r), set()).add(normalize(display(t)))
-    return MappingProxyType({key: frozenset(tails) for key, tails in gold.items()})
 
 
 def _last_block(conversation: str, tag: str) -> str:

@@ -1,9 +1,10 @@
 """Question/answer records, their JSON-lines file format, and the prompt
 that shows a question to the policy.
 
-Also each question's gold view, :func:`gold_alias_sets`, which the scorer,
-the filter and the evaluator read; and the vocabulary that the graph module
-shares with the commands that load no graph: :class:`Triple`,
+Also each question's gold view: :func:`gold_alias_sets`, which the scorer,
+the filter and the evaluator read, and :func:`gold_tails`, which the
+scripted oracle's web fallback reads. And the vocabulary that the graph
+module shares with the commands that load no graph: :class:`Triple`,
 :func:`display`, :class:`KGError`, the no-information :data:`SENTINEL`, the
 CKG/IKG coverage labels, and the removal log that
 :func:`kgqa_env.kg.sample_ikg` writes and ``score`` and ``filter-sft`` read.
@@ -15,7 +16,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple, Sequence, TypeVar
 
 from .jsonio import json_id, json_list, json_text, read_jsonl, write_jsonl
 from .text import _STRIP_CHARS, normalize
@@ -30,6 +32,7 @@ COVERAGE_IKG = "IKG"
 #: G samples, and its score and its filter, read what its first one built.
 GOLD_CACHE_SIZE = 1024
 _BLANK = frozenset(("",))
+_V = TypeVar("_V")
 
 # Tag names are spelled without angle brackets here so the full conversation
 # (prompt plus generated text) stays parseable by the trajectory grammar.
@@ -94,20 +97,40 @@ class QAExample(NamedTuple):
 
 def gold_alias_sets(answers: Sequence[Sequence[str]]) -> tuple[frozenset[str], ...]:
     """Each gold answer's normalized, non-empty aliases, in ``answers``'
-    order. Built once per process for each distinct value of ``answers``
-    (:data:`GOLD_CACHE_SIZE` of them at a time): equal golds share one
-    entry, and a miss recomputes, so eviction never changes a result. A
-    list works as well as the tuples :func:`load_qa` gives, at the price of
-    one copy per call."""
+    order. Memoized by value (see :func:`_by_value`)."""
+    return _by_value(_gold_alias_sets, answers)
+
+
+def gold_tails(critical_triples: Sequence[Sequence[str]]) -> Mapping[tuple[str, str], frozenset[str]]:
+    """The gold path's tails for web fallbacks, read-only: (normalized
+    surface of the head, relation) -> the normalized surfaces of its tails.
+    Memoized by value (see :func:`_by_value`)."""
+    return _by_value(_gold_tail_map, critical_triples)
+
+
+def _by_value(build: Callable[[tuple], _V], rows: Sequence[Sequence[str]]) -> _V:
+    """``build(rows)`` from its ``lru_cache``, built once per process for
+    each distinct value of ``rows`` (:data:`GOLD_CACHE_SIZE` of them at a
+    time): equal golds share one entry, and a miss recomputes, so eviction
+    never changes a result. A list works as well as the tuples
+    :func:`load_qa` gives, at the price of one copy per call."""
     try:
-        return _gold_alias_sets(answers)
+        return build(rows)
     except TypeError:  # a list somewhere, which no cache key can hold
-        return _gold_alias_sets(tuple(map(tuple, answers)))
+        return build(tuple(map(tuple, rows)))
 
 
 @lru_cache(maxsize=GOLD_CACHE_SIZE)
 def _gold_alias_sets(answers: tuple[tuple[str, ...], ...]) -> tuple[frozenset[str], ...]:
     return tuple(frozenset(map(normalize, aliases)) - _BLANK for aliases in answers)
+
+
+@lru_cache(maxsize=GOLD_CACHE_SIZE)
+def _gold_tail_map(triples: tuple[Triple, ...]) -> Mapping[tuple[str, str], frozenset[str]]:
+    gold: dict[tuple[str, str], set[str]] = {}
+    for h, r, t in triples:
+        gold.setdefault((normalize(display(h)), r), set()).add(normalize(display(t)))
+    return MappingProxyType({key: frozenset(tails) for key, tails in gold.items()})
 
 
 def load_qa(path: str | Path) -> list[QAExample]:

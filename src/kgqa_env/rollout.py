@@ -24,6 +24,7 @@ state are per-rollout.
 
 from __future__ import annotations
 
+import re
 from abc import ABC, abstractmethod
 
 from .kg import KnowledgeGraph
@@ -60,7 +61,8 @@ TOP_K_DOCS = 3
 
 #: Closing delimiters at which policy segments end.
 STOP_TAGS = [f"</{t}>" for t in (PLAN, *sorted(SEARCH_TAGS), ANSWER)]
-_CLOSE_TO_TAG = {f"</{t}>": t for t in (PLAN, *SEARCH_TAGS, ANSWER)}
+# No closer is a prefix of another, so the first match is the first closer.
+_STOP = re.compile("|".join(map(re.escape, STOP_TAGS)))
 
 
 class RolloutError(RuntimeError):
@@ -96,14 +98,10 @@ class RolloutConfig:
 def _cut_at_action(segment: str) -> tuple[str, str | None]:
     """Truncate a segment at the first closing action delimiter; returns the
     kept piece and the action tag that closed it (None at end of output)."""
-    best: tuple[int, str] | None = None
-    for close, tag in _CLOSE_TO_TAG.items():
-        idx = segment.find(close)
-        if idx >= 0 and (best is None or idx < best[0]):
-            best = (idx + len(close), tag)
-    if best is None:
+    stop = _STOP.search(segment)
+    if stop is None:
         return segment, None
-    return segment[: best[0]], best[1]
+    return segment[: stop.end()], stop.group()[2:-1]
 
 
 def dispatch_action(step: Step, kg: KnowledgeGraph, web: WebTool) -> Step:

@@ -5,9 +5,8 @@ The offline corpus is JSON-lines, one record per snippet:
 record when every key appears among the query's word terms; matches rank by
 key count (more specific first), then corpus order. Query terms are
 :func:`~kgqa_env.text.word_tokens`, so only a key that is one lowercase run
-of letters and digits can match; :meth:`OfflineWebTool.from_path` rejects
-any other, and the constructor keeps a record that holds one but never
-files it.
+of letters and digits can match; the constructor and
+:meth:`OfflineWebTool.from_path` reject any other.
 
 :class:`OfflineWebTool` holds no object per record. It keeps two columns cut
 into chunks of :data:`CHUNK` records: each record's sorted distinct keys,
@@ -57,6 +56,7 @@ from .text import word_tokens
 #: Records per chunk of a corpus column, and per read of a corpus file.
 CHUNK = 1024
 _SHIFT = CHUNK.bit_length() - 1
+_UNMATCHABLE = "key {!r} matches no query: a key must be one lowercase word token"
 
 
 class WebToolError(Exception):
@@ -101,8 +101,10 @@ class _Column:
 
 class OfflineWebTool(WebTool):
     def __init__(self, records: Iterable[tuple[Sequence[str], str]]):
+        """The (keys, snippet) records in corpus order; a key that no query
+        can match raises :class:`WebToolError` naming it."""
         records = iter(records)
-        self._build(map(_matchable, iter(lambda: list(islice(records, CHUNK)), [])))
+        self._build(map(_columns, iter(lambda: list(islice(records, CHUNK)), [])))
 
     def _build(self, chunks: Iterable[tuple[Sequence[Sequence[str]], Sequence[str]]]) -> None:
         """Fill the columns from the (keys, snippets) of :data:`CHUNK`
@@ -211,12 +213,12 @@ def _words_only(keys: Collection[str]) -> bool:
                         and joined.replace(" ", "").isalnum() and joined == joined.lower())
 
 
-def _matchable(records: list[tuple[Sequence[str], str]]) -> tuple[list[Sequence[str]], list[str]]:
-    """(keys, snippets) of the records, with no keys for a record that holds
-    a key no query can match, so that it is never filed."""
+def _columns(records: list[tuple[Sequence[str], str]]) -> tuple[list[Sequence[str]], list[str]]:
+    """(keys, snippets) of the records, or :class:`WebToolError` naming the
+    first key no query can match."""
     keys, snippets = list(map(itemgetter(0), records)), list(map(itemgetter(1), records))
     if not _words_only(list(chain.from_iterable(keys))):
-        keys = [k if _words_only(k) else () for k in keys]
+        raise WebToolError(_UNMATCHABLE.format(next(k for k in chain.from_iterable(keys) if not _words_only([k]))))
     return keys, snippets
 
 
@@ -257,7 +259,7 @@ def _record(rec: dict) -> tuple[list[str], str]:
     keys = json_list(rec["keys"], "keys")
     for key in keys:
         if not _words_only([json_text(key, "keys")]):
-            raise ValueError(f"key {key!r} matches no query: a key must be one lowercase word token")
+            raise ValueError(_UNMATCHABLE.format(key))
     return keys, json_text(rec["snippet"], "snippet")
 
 

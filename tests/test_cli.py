@@ -162,6 +162,14 @@ class TestPipeline:
         assert stderr == "error: trajectory 'stray' has no QA record\n"
         assert not report_path.exists()
 
+    def test_eval_of_no_trajectory_is_one_error(self, tmp_path, capsys, caplog):
+        traj, report_path = tmp_path / "empty.jsonl", tmp_path / "report.json"
+        traj.write_text("")
+        rc, stdout, stderr = run(capsys, "eval", "--traj", str(traj), "--qa", str(TOY_QA), "--out", str(report_path))
+        assert (rc, stdout, stderr) == (1, "", "error: web_search_ratio needs at least one trajectory\n")
+        assert caplog.records == []  # no "counted as a miss" warning for each of the 25 questions
+        assert not report_path.exists()
+
     def test_score_requires_coverage_for_every_question(self, workdir, capsys):
         empty_log = workdir / "empty.jsonl"
         empty_log.write_text("")
@@ -178,6 +186,14 @@ class TestRolloutFlags:
         assert rc == 1
         assert "web-corpus" in stderr
 
+
+    def test_the_options_are_checked_before_any_file_is_read(self, capsys, tmp_path):
+        missing = ["--kg", str(tmp_path / "missing.tsv"), "--qa", str(tmp_path / "missing.jsonl"),
+                   "--out", str(tmp_path / "t.jsonl")]
+        rc, _, stderr = run(capsys, "rollout", *missing, "--web-corpus", str(TOY_WEB_CORPUS), "--max-iters", "0")
+        assert (rc, stderr) == (1, "error: max_iterations must be >= 1, got 0\n")
+        rc, _, stderr = run(capsys, "rollout", *missing)
+        assert (rc, stderr) == (1, "error: rollout needs --web-corpus PATH or --web-url URL\n")
 
     def test_blank_recorded_plan_is_reported(self, capsys, tmp_path):
         qa = tmp_path / "qa.jsonl"

@@ -909,6 +909,18 @@ def test_graph_build_holds_one_copy_of_its_indexes():
     assert _graph_memory()[1] < 1.3
 
 
+def test_a_graph_takes_one_value_for_each_annotated_field():
+    kg = KnowledgeGraph.from_triples([Triple("Iranian_rial", "currency_of", "Iran")])
+    values = list(kg._asdict().values())
+    assert list(kg._asdict()) == list(KnowledgeGraph.__annotations__)
+    assert KnowledgeGraph(*values) == kg
+    for wrong in (values[:-1], [*values, {}]):
+        with pytest.raises(ValueError, match="zip"):
+            KnowledgeGraph(*wrong)
+    with pytest.raises(TypeError, match="no field '_tails'"):
+        kg._replace(_tails=())
+
+
 def test_a_derived_graph_shares_the_base_columns():
     """``sample_ikg`` shares every column with its base and adds bytes in
     proportion to its removals, not to the graph: 40 removals from 20,000

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from functools import reduce
 
 import pytest
@@ -93,6 +94,18 @@ class TestParse:
     def test_empty_argument_is_an_error(self, call):
         with pytest.raises(PlanError, match="line 3"):
             parse_plan(f"S1: Ans(t | r(x, ?))\nS2: Ans(t | r(y, ?))\nS3: {call}")
+
+    @pytest.mark.parametrize("expr, message", [
+        ("what is this", "cannot parse expression 'what is this'"),
+        ("Ans(t r(x, ?))", "Ans needs 'type | relation(head, ?)', got 't r(x, ?)'"),
+        ("Ans(t | r x)", "Ans needs a relation(head, ?) call, got 'r x'"),
+        ("Ans(t | r( , ?))", "relation call has an empty head"),
+        ("negation(x; S1)", "negation primary 'X' is not a sub-question id"),
+        ("Join(S1, S1)", "unknown function 'join'"),
+    ], ids=["unparseable", "ans-without-bar", "ans-without-call", "empty-head", "negation-primary", "unknown"])
+    def test_each_expression_error_names_its_line(self, expr, message):
+        with pytest.raises(PlanError, match=f"^line 2: {re.escape(message)}$"):
+            parse_plan(f"S1: Ans(t | r(x, ?))\nS2: {expr}\nS3: union(S1, S2)")
 
 
 class TestExecutionOrder:

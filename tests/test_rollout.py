@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgqa_env import policies, rollout
+from kgqa_env import policies, qa, rollout
 from kgqa_env.kg import COVERAGE_CKG, SENTINEL, KnowledgeGraph, Triple, display, is_sentinel, sample_ikg
 from kgqa_env.plan import Ans, PlanError, eval_expr, parse_plan
 from kgqa_env.policies import RemotePolicy, ScriptedOracle
@@ -141,13 +141,13 @@ class TestOracleRollout:
 
     def test_gold_map_is_built_at_the_first_web_fallback(self, tk1, tk1_example, tk1_web, monkeypatch):
         built = []
-        gold_tails = policies._gold_tails
-        monkeypatch.setattr(policies, "_gold_tails", lambda ex: built.append(ex.id) or gold_tails(ex))
+        gold_tails = qa.gold_tails
+        monkeypatch.setattr(policies, "gold_tails", lambda triples: built.append(triples) or gold_tails(triples))
         run_rollout(ScriptedOracle(), tk1, tk1_web, tk1_example)
         assert built == []
         ikg, _ = sample_ikg(tk1, [tk1_example], 1.0, seed=1)
         run_rollout(ScriptedOracle(), ikg, tk1_web, tk1_example)
-        assert built == [tk1_example.id]
+        assert built == [tk1_example.critical_triples]
 
     def test_memoized_gold_map_equals_the_per_call_formula(self, tk1_example, toy_qa):
         def reference(example):
@@ -156,19 +156,29 @@ class TestOracleRollout:
                 gold.setdefault((normalize(display(h)), r), set()).add(normalize(display(t)))
             return gold
 
-        policies._gold_tail_map.cache_clear()
+        qa._gold_tail_map.cache_clear()
         for example in [tk1_example, *toy_qa]:
             for _ in range(2):  # a miss, then a hit
-                assert policies._gold_tails(example) == reference(example)
-        assert policies._gold_tails(tk1_example._replace(critical_triples=[list(t) for t in tk1_example.critical_triples])) \
-            is policies._gold_tails(tk1_example)
+                assert qa.gold_tails(example.critical_triples) == reference(example)
+        assert qa.gold_tails([list(t) for t in tk1_example.critical_triples]) is qa.gold_tails(tk1_example.critical_triples)
 
     def test_memoized_gold_map_cannot_be_mutated(self, tk1_example):
-        gold = policies._gold_tails(tk1_example)
+        gold = qa.gold_tails(tk1_example.critical_triples)
         with pytest.raises(TypeError):
             gold["x", "y"] = frozenset()
         with pytest.raises(AttributeError):
             gold["iranian rial", "currency_of"].add("iraq")
+
+    def test_the_oracle_emits_nothing_after_its_answer(self, tk1, tk1_example, tk1_web):
+        oracle = ScriptedOracle()
+        run_rollout(oracle, tk1, tk1_web, tk1_example)  # the script runs to its answer block
+        assert oracle.next_segment(build_prompt(tk1_example)) == ""
+
+    def test_last_block_of_a_tail_that_does_not_parse_is_empty(self):
+        block = render_block("relation_information", "currency_of, capital")
+        assert policies._last_block("prompt\n" + block, "relation_information") == "currency_of, capital"
+        assert policies._last_block("prompt\n" + block[:-1], "relation_information") == ""
+        assert policies._last_block("prompt\n" + block, "neighbor_information") == ""
 
     def test_ikg_falls_back_to_web(self, tk1, tk1_example, tk1_web):
         ikg, _ = sample_ikg(tk1, [tk1_example], 1.0, seed=1)
@@ -274,6 +284,32 @@ class TestForceFinalAnswer:
         force_final_answer(Spy(), "history")
         assert seen["conversation"].startswith("history")
         assert FORCE_ANSWER_DIRECTIVE in seen["conversation"]
+
+
+_CLOSERS = [*STOP_TAGS, *(f"</{tag}>" for tag in INFO_TAGS)]
+
+
+def _earliest_closer(segment):
+    """The segment up to and including the first of STOP_TAGS in it, and
+    that closer's tag; the whole segment and None without one."""
+    for start in range(len(segment)):
+        for close in STOP_TAGS:
+            if segment.startswith(close, start):
+                return segment[:start + len(close)], close[2:-1]
+    return segment, None
+
+
+class TestCutAtAction:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([*_CLOSERS, *(c.replace("/", "") for c in _CLOSERS), "</", "plan>",
+                                     "answer>", "search>", "<", ">", " ", "text", "Ünï"]), max_size=12).map("".join))
+    def test_cuts_at_the_earliest_closer(self, segment):
+        assert _cut_at_action(segment) == _earliest_closer(segment)
+
+    def test_examples(self):
+        assert _cut_at_action("<think>a</think><plan>S1</plan>rest") == ("<think>a</think><plan>S1</plan>", PLAN)
+        assert _cut_at_action("x</web_information></answer></plan>") == ("x</web_information></answer>", ANSWER)
+        assert _cut_at_action("no closer </relation_information>") == ("no closer </relation_information>", None)
 
 
 class TestEngineEdges:

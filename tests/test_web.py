@@ -18,10 +18,10 @@ import kgqa_env
 from kgqa_env.text import word_tokens
 from kgqa_env.web import CHUNK, OfflineWebTool, RemoteWebTool, WebToolError, _words_only
 
-# "two words" and "Caps" are never word terms of a query, so records that
-# carry them never match; OfflineWebTool.from_path rejects them, the
-# constructor keeps the records but files them nowhere.
-_KEYS = ["capital", "city", "of", "denmark", "rial", "zürich", "ß", "東京", "two words", "Caps"]
+# Keys that are word terms of some query; "two words" and "Caps" never are,
+# so the constructor and OfflineWebTool.from_path reject them.
+_KEYS = ["capital", "city", "of", "denmark", "rial", "zürich", "ß", "東京"]
+_UNMATCHABLE_KEYS = ["two words", "Caps"]
 
 
 def _scan_oracle(records, query, k):
@@ -83,20 +83,17 @@ class TestOfflineCorpus:
         # Filed under "the", which every record holds, each record would be
         # checked by every query that holds "the".
         records = [(["the", f"u{n}"], f"doc {n}") for n in range(20)]
-        records += [(["the", "a"], "a1"), (["a", "b", "a"], "a2"), (["d", "c"], "cd"), ([], "none"),
-                    (["c", "Caps"], "caps")]
+        records += [(["the", "a"], "a1"), (["a", "b", "a"], "a2"), (["d", "c"], "cd"), ([], "none")]
         tool = OfflineWebTool(records)
         size = len(tool._index)
         assert size > 2 * len(records) and size & (size - 1) == 0
         bucket = lambda key: hash(key) & (size - 1)  # noqa: E731
         # Each bucket's count of key occurrences stands for each of its keys'
         # count; the first least held key of a record's sorted keys wins.
-        # Neither a record without keys nor one that no query can match is
-        # filed or counted.
-        matchable = [sorted(set(keys)) if all(word_tokens(k) == [k] for k in keys) else []
-                     for keys, _ in records]
-        held = Counter(bucket(key) for keys in matchable for key in keys)
-        want = {idx: min(map(bucket, keys), key=held.__getitem__) for idx, keys in enumerate(matchable) if keys}
+        # A record without keys is neither filed nor counted.
+        distinct = [sorted(set(keys)) for keys, _ in records]
+        held = Counter(bucket(key) for keys in distinct for key in keys)
+        want = {idx: min(map(bucket, keys), key=held.__getitem__) for idx, keys in enumerate(distinct) if keys}
         assert _filed(tool) == want
         assert all(want[n] == bucket(f"u{n}") for n in range(20))  # not under "the", held 21 times
         assert tool.search("the u3 a b", k=5) == ["doc 3", "a1", "a2"]
@@ -107,7 +104,8 @@ class TestOfflineCorpus:
         keys=st.lists(st.lists(st.sampled_from(_KEYS), max_size=4), max_size=40),
         snippets=st.lists(st.text(max_size=6), min_size=1, max_size=4),
         pad=st.sampled_from([0, CHUNK - 7, 2 * CHUNK + 3]),
-        query=st.lists(st.sampled_from(_KEYS + ["zebra", "Denmark's", "ZÜRICH"]), max_size=6).map(" ".join),
+        query=st.lists(st.sampled_from(_KEYS + _UNMATCHABLE_KEYS + ["zebra", "Denmark's", "ZÜRICH"]),
+                       max_size=6).map(" ".join),
         k=st.integers(1, 12),
     )
     def test_search_matches_brute_force_scan(self, keys, snippets, pad, query, k):
@@ -117,6 +115,9 @@ class TestOfflineCorpus:
         records = [(["padding"], "p")] * pad
         records += [(record_keys, f"{snippets[idx % len(snippets)]} {idx}") for idx, record_keys in enumerate(keys)]
         assert OfflineWebTool(records).search(query, k) == _scan_oracle(records, query, k)
+        for key in _UNMATCHABLE_KEYS:
+            with pytest.raises(WebToolError, match=f"key {key!r} matches no query"):
+                OfflineWebTool([*records, (["rial", key], "never found")])
 
     def test_malformed_corpus_record(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
@@ -131,6 +132,8 @@ class TestOfflineCorpus:
                         + json.dumps({"keys": ["rial", key], "snippet": "The rial."}) + "\n")
         with pytest.raises(WebToolError, match=f"line 2 of {path}: key {re.escape(repr(key))} matches no query"):
             OfflineWebTool.from_path(path)
+        with pytest.raises(WebToolError, match=f"^key {re.escape(repr(key))} matches no query"):
+            OfflineWebTool([(["iran"], "Iran."), (["rial", key], "The rial.")])
 
     def test_a_repeated_bad_key_is_named_at_its_first_line(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
